@@ -14,9 +14,8 @@
     The state is kept in persistent sets/maps rather than sorted lists
     and copied arrays: a saturated start floods ~2N² messages, and at
     N=1000 an O(N)-per-message representation turns one sweep point
-    into minutes of list churn. Everything below is O(log N) per
-    message; the only O(N) work is the per-candidacy scan when a
-    request is issued. *)
+    into minutes of list churn. Everything below is O(log N) or
+    O(N/62) per message. *)
 
 open Dmutex.Types
 
@@ -36,6 +35,7 @@ module Rq = Set.Make (struct
 end)
 
 module Im = Map.Make (Int)
+module Bits = Pvec.Bits
 
 type state = {
   me : node_id;
@@ -43,12 +43,13 @@ type state = {
   clock : int;
   queue : Rq.t;  (* pending requests, (ts, j) ordered *)
   ts_of : int Im.t;  (* j -> its queued request's timestamp *)
-  last_heard : int Im.t;  (* highest timestamp heard per node *)
   requesting : bool;
+  heard : Bits.t;
+      (* nodes k <> me heard from with a timestamp above our request's,
+         this candidacy; empty when not requesting *)
   heard_count : int;
-      (* nodes k <> me with last_heard(k) > our request's timestamp —
-         maintained incrementally so the CS entry check is O(1)
-         instead of an O(N) scan per incoming message *)
+      (* size of [heard], so the CS entry check is O(1) instead of an
+         O(N) count per incoming message *)
   in_cs : bool;
   pending : int;
 }
@@ -67,8 +68,8 @@ let init cfg me =
     clock = 0;
     queue = Rq.empty;
     ts_of = Im.empty;
-    last_heard = Im.empty;
     requesting = false;
+    heard = Bits.empty cfg.Config.n;
     heard_count = 0;
     in_cs = false;
     pending = 0;
@@ -80,21 +81,26 @@ let in_cs st = st.in_cs
 (* No shared-mode path: every grant is exclusive. *)
 let cs_mode _ = Exclusive
 let wants_cs st = st.requesting || st.pending > 0
-let heard st k = match Im.find_opt k st.last_heard with Some t -> t | None -> 0
 let my_ts st = match Im.find_opt st.me st.ts_of with Some t -> t | None -> -1
 
-(* Record a (monotone) timestamp heard from [src], bumping
-   [heard_count] when it first crosses our candidacy's timestamp. *)
+(* Record a timestamp heard from [src]. Entry needs, from every other
+   node, a message timestamped above our request: the first such
+   message from [src] this candidacy is the one that counts.
+
+   No per-node history is needed for that. [clock] is at least every
+   timestamp heard (each receive takes the max), so a new request's
+   timestamp [clock + 1] exceeds everything heard before it: at the
+   start of a candidacy no node has yet spoken above it, and the
+   "highest timestamp heard from [src] crossed my_ts" of the textbook
+   formulation is exactly "first message from [src] this candidacy
+   with ts > my_ts". *)
 let note_heard st src ts =
-  let old = heard st src in
-  if ts <= old then st
-  else
-    let heard_count =
-      if st.requesting && src <> st.me && old <= my_ts st && ts > my_ts st
-      then st.heard_count + 1
-      else st.heard_count
-    in
-    { st with last_heard = Im.add src ts st.last_heard; heard_count }
+  if
+    st.requesting && src <> st.me && ts > my_ts st
+    && not (Bits.mem st.heard src)
+  then
+    { st with heard = Bits.add st.heard src; heard_count = st.heard_count + 1 }
+  else st
 
 let enqueue (ts, j) st =
   { st with queue = Rq.add (ts, j) st.queue; ts_of = Im.add j ts st.ts_of }
@@ -125,13 +131,6 @@ let rec handle cfg ~now st input =
       else begin
         let ts = st.clock + 1 in
         let st = enqueue (ts, st.me) { st with clock = ts; requesting = true } in
-        (* One O(N) scan per candidacy seeds the incremental count. *)
-        let heard_count =
-          Im.fold
-            (fun k h acc -> if k <> st.me && h > ts then acc + 1 else acc)
-            st.last_heard 0
-        in
-        let st = { st with heard_count } in
         if st.n = 1 then ({ st with in_cs = true }, [ Enter_cs ])
         else (st, [ Broadcast (Request { ts; j = st.me }) ])
       end
@@ -152,7 +151,7 @@ let rec handle cfg ~now st input =
       let st =
         dequeue st.me
           { st with clock = ts; in_cs = false; requesting = false;
-            heard_count = 0 }
+            heard = Bits.empty st.n; heard_count = 0 }
       in
       let effs =
         if st.n = 1 then [] else [ Broadcast (Release { ts; j = st.me }) ]

@@ -15,7 +15,7 @@ type state = {
   clock : int;
   my_ts : int option;  (* timestamp of our outstanding request *)
   replies : int;  (* replies still awaited *)
-  deferred : node_id list;
+  deferred : node_id list;  (* newest first *)
   in_cs : bool;
   pending : int;
 }
@@ -72,7 +72,7 @@ let rec handle cfg ~now st input =
         | Some mine -> beats (mine, st.me) (ts, j)
         | None -> false
       in
-      if defer then ({ st with deferred = st.deferred @ [ j ] }, [])
+      if defer then ({ st with deferred = j :: st.deferred }, [])
       else (st, [ Send (j, Reply) ])
   | Receive (_, Reply) ->
       let replies = st.replies - 1 in
@@ -80,7 +80,7 @@ let rec handle cfg ~now st input =
         ({ st with replies; in_cs = true }, [ Enter_cs ])
       else ({ st with replies }, [])
   | Cs_done ->
-      let effs = List.map (fun j -> Send (j, Reply)) st.deferred in
+      let effs = List.rev_map (fun j -> Send (j, Reply)) st.deferred in
       let st =
         { st with in_cs = false; my_ts = None; deferred = []; replies = 0 }
       in

@@ -10,6 +10,8 @@
 
 open Dmutex.Types
 
+module Bits = Pvec.Bits
+
 type message = Request of { ts : int; j : node_id } | Reply
 type timer = |
 
@@ -19,8 +21,8 @@ type state = {
   clock : int;
   my_ts : int option;
   awaited : int;  (* replies still awaited *)
-  r : bool array;  (* request set membership (me always in) *)
-  d : bool array;  (* deferred requesters *)
+  r : Bits.t;  (* request set (me always in) *)
+  d : Bits.t;  (* deferred requesters *)
   in_cs : bool;
   pending : int;
 }
@@ -40,8 +42,8 @@ let init cfg me =
     clock = 0;
     my_ts = None;
     awaited = 0;
-    r = Array.init n (fun j -> j <= me);  (* staircase *)
-    d = Array.make n false;
+    r = Bits.prefix n me;  (* staircase *)
+    d = Bits.empty n;
     in_cs = false;
     pending = 0;
   }
@@ -54,11 +56,6 @@ let in_cs st = st.in_cs
 let cs_mode _ = Exclusive
 let wants_cs st = st.my_ts <> None || st.pending > 0
 
-let set arr i v =
-  let a = Array.copy arr in
-  a.(i) <- v;
-  a
-
 let beats (ts, j) (ts', j') = ts < ts' || (ts = ts' && j < j')
 
 let rec handle cfg ~now st input =
@@ -68,10 +65,7 @@ let rec handle cfg ~now st input =
         ({ st with pending = st.pending + 1 }, [])
       else begin
         let ts = st.clock + 1 in
-        let targets =
-          List.filter (fun j -> j <> st.me && st.r.(j))
-            (List.init st.n (fun j -> j))
-        in
+        let targets = List.filter (fun j -> j <> st.me) (Bits.elements st.r) in
         let st =
           { st with clock = ts; my_ts = Some ts;
             awaited = List.length targets }
@@ -84,7 +78,7 @@ let rec handle cfg ~now st input =
       let st = { st with clock = max st.clock ts } in
       if st.in_cs then
         (* Defer until we leave the CS; remember the requester. *)
-        ({ st with d = set st.d j true; r = set st.r j true }, [])
+        ({ st with d = Bits.add st.d j; r = Bits.add st.r j }, [])
       else
         match st.my_ts with
         | Some mine when beats (ts, j) (mine, st.me) ->
@@ -92,16 +86,16 @@ let rec handle cfg ~now st input =
                had not asked j (it was outside R), echo our own REQUEST
                so j also answers us — this is what preserves the
                pairwise-connectivity invariant. *)
-            if st.r.(j) then (st, [ Send (j, Reply) ])
+            if Bits.mem st.r j then (st, [ Send (j, Reply) ])
             else
-              ( { st with r = set st.r j true; awaited = st.awaited + 1 },
+              ( { st with r = Bits.add st.r j; awaited = st.awaited + 1 },
                 [ Send (j, Reply); Send (j, Request { ts = mine; j = st.me }) ] )
         | Some _ ->
             (* We win: defer the reply. *)
-            ({ st with d = set st.d j true; r = set st.r j true }, [])
+            ({ st with d = Bits.add st.d j; r = Bits.add st.r j }, [])
         | None ->
             (* Idle: answer immediately and learn about j. *)
-            ({ st with r = set st.r j true }, [ Send (j, Reply) ])
+            ({ st with r = Bits.add st.r j }, [ Send (j, Reply) ])
     end
   | Receive (_, Reply) ->
       let awaited = st.awaited - 1 in
@@ -109,16 +103,12 @@ let rec handle cfg ~now st input =
         ({ st with awaited; in_cs = true }, [ Enter_cs ])
       else ({ st with awaited }, [])
   | Cs_done ->
-      let deferred =
-        List.filter (fun j -> st.d.(j)) (List.init st.n (fun j -> j))
-      in
-      let effs = List.map (fun j -> Send (j, Reply)) deferred in
+      let effs = List.map (fun j -> Send (j, Reply)) (Bits.elements st.d) in
       (* Shrink the request set to ourselves plus the nodes we know
          are still interested. *)
-      let r = Array.init st.n (fun j -> j = st.me || st.d.(j)) in
       let st =
-        { st with in_cs = false; my_ts = None; r;
-          d = Array.make st.n false }
+        { st with in_cs = false; my_ts = None; r = Bits.add st.d st.me;
+          d = Bits.empty st.n }
       in
       if st.pending > 0 then
         let st, effs' =
@@ -135,17 +125,14 @@ let pp_message ppf = function
   | Reply -> Format.pp_print_string ppf "REPLY"
 
 let pp_state ppf st =
-  let members arr =
-    List.filter (fun j -> arr.(j)) (List.init st.n (fun j -> j))
-  in
   Format.fprintf ppf "node %d: R={%a} D={%a} awaited=%d%s" st.me
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
        Format.pp_print_int)
-    (members st.r)
+    (Bits.elements st.r)
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
        Format.pp_print_int)
-    (members st.d)
+    (Bits.elements st.d)
     st.awaited
     (if st.in_cs then " IN-CS" else "")

@@ -8,14 +8,16 @@
 
 open Dmutex.Types
 
-type token = { ln : int array; tq : node_id list }
+module Ints = Pvec.Ints
+
+type token = { ln : Ints.t; tq : node_id list }
 type message = Request of { j : node_id; sn : int } | Token of token
 type timer = |
 
 type state = {
   me : node_id;
   n : int;
-  rn : int array;  (* highest request number seen per node *)
+  rn : Ints.t;  (* highest request number seen per node *)
   token : token option;
   requesting : bool;
   in_cs : bool;
@@ -34,10 +36,10 @@ let init cfg me =
   {
     me;
     n;
-    rn = Array.make n 0;
+    rn = Ints.make n 0;
     token =
       (if me = cfg.Config.initial_arbiter then
-         Some { ln = Array.make n 0; tq = [] }
+         Some { ln = Ints.make n 0; tq = [] }
        else None);
     requesting = false;
     in_cs = false;
@@ -57,33 +59,28 @@ let in_cs st = st.in_cs
 let cs_mode _ = Exclusive
 let wants_cs st = st.requesting || st.pending > 0
 
-let set arr i v =
-  let a = Array.copy arr in
-  a.(i) <- v;
-  a
-
 let rec handle cfg ~now st input =
   match input with
   | Request_cs | Request_shared_cs ->
       if st.requesting || st.in_cs then
         ({ st with pending = st.pending + 1 }, [])
       else begin
-        let sn = st.rn.(st.me) + 1 in
+        let sn = Ints.get st.rn st.me + 1 in
         let st =
-          { st with requesting = true; rn = set st.rn st.me sn }
+          { st with requesting = true; rn = Ints.set st.rn st.me sn }
         in
         match st.token with
         | Some _ -> ({ st with in_cs = true }, [ Enter_cs ])
         | None -> (st, [ Broadcast (Request { j = st.me; sn }) ])
       end
   | Receive (_, Request { j; sn }) -> begin
-      let st = { st with rn = set st.rn j (max st.rn.(j) sn) } in
+      let st = { st with rn = Ints.set st.rn j (max (Ints.get st.rn j) sn) } in
       (* An idle token holder hands the token to an outstanding
          requester immediately. *)
       match st.token with
       | Some tok
         when (not st.in_cs) && (not st.requesting)
-             && st.rn.(j) = tok.ln.(j) + 1 ->
+             && Ints.get st.rn j = Ints.get tok.ln j + 1 ->
           ({ st with token = None }, [ Send (j, Token tok) ])
       | _ -> (st, [])
     end
@@ -93,18 +90,23 @@ let rec handle cfg ~now st input =
       match st.token with
       | None -> (st, []) (* spurious *)
       | Some tok ->
-          let ln = set tok.ln st.me st.rn.(st.me) in
+          let ln = Ints.set tok.ln st.me (Ints.get st.rn st.me) in
           (* Append every node with an unserved request, scanning in
-             me+1 .. me+n order for fairness (as in the original). *)
-          let tq = ref tok.tq in
+             me+1 .. me+n order for fairness (as in the original). The
+             newcomers are gathered newest-first and appended once;
+             [queued] marks the nodes already in the queue. *)
+          let queued = Bytes.make st.n '\000' in
+          List.iter (fun j -> Bytes.set queued j '\001') tok.tq;
+          let fresh = ref [] in
           for k = 1 to st.n - 1 do
             let j = (st.me + k) mod st.n in
-            if st.rn.(j) = ln.(j) + 1 && not (List.mem j !tq) then
-              tq := !tq @ [ j ]
+            if Ints.get st.rn j = Ints.get ln j + 1 && Bytes.get queued j = '\000'
+            then fresh := j :: !fresh
           done;
+          let tq = tok.tq @ List.rev !fresh in
           let st = { st with requesting = false; in_cs = false } in
           let st, effs =
-            match !tq with
+            match tq with
             | j :: rest ->
                 ( { st with token = None },
                   [ Send (j, Token { ln; tq = rest }) ] )

@@ -1,90 +1,122 @@
-type 'a entry = { prio : float; seq : int; value : 'a }
-
+(* Struct of arrays: priorities unboxed in a float array, so neither a
+   push nor a [pop_min] allocates. Values are stored as [Obj.t] so the
+   values array is never a flat float array, whatever ['a] is. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable prio : float array;
+  mutable seq : int array;
+  mutable vals : Obj.t array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-(* A single shared placeholder fills every unused slot, so a popped
+(* An immediate placeholder fills every unused value slot, so a popped
    value (and any closure it captures) is released to the GC at pop
-   time instead of lingering in the backing array. The [value] field
-   holds an immediate int and is never read: [size] guards every
-   access, making the cast safe. *)
-let dummy_entry : Obj.t entry = { prio = nan; seq = -1; value = Obj.repr 0 }
-let dummy () = (Obj.magic dummy_entry : _ entry)
+   time instead of lingering in the backing array. *)
+let dummy = Obj.repr 0
 
 let create ?(capacity = 64) () =
-  let data = if capacity <= 0 then [||] else Array.make capacity (dummy ()) in
-  { data; size = 0; next_seq = 0 }
+  let capacity = max capacity 0 in
+  {
+    prio = Array.make capacity nan;
+    seq = Array.make capacity 0;
+    vals = Array.make capacity dummy;
+    size = 0;
+    next_seq = 0;
+  }
 
 let size t = t.size
 let is_empty t = t.size = 0
 
-let lt a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-
 let grow t =
-  let cap = Array.length t.data in
+  let cap = Array.length t.vals in
   if t.size >= cap then begin
     let ncap = if cap = 0 then 64 else cap * 2 in
-    let ndata = Array.make ncap (dummy ()) in
-    Array.blit t.data 0 ndata 0 t.size;
-    t.data <- ndata
+    let prio = Array.make ncap nan
+    and seq = Array.make ncap 0
+    and vals = Array.make ncap dummy in
+    Array.blit t.prio 0 prio 0 t.size;
+    Array.blit t.seq 0 seq 0 t.size;
+    Array.blit t.vals 0 vals 0 t.size;
+    t.prio <- prio;
+    t.seq <- seq;
+    t.vals <- vals
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
+let move t ~src ~dst =
+  t.prio.(dst) <- t.prio.(src);
+  t.seq.(dst) <- t.seq.(src);
+  t.vals.(dst) <- t.vals.(src)
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && lt t.data.(l) t.data.(!smallest) then smallest := l;
-  if r < t.size && lt t.data.(r) t.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
+(* Both sifts move a hole instead of swapping, comparing the moving
+   (priority, seq) key against the same slots, in the same order, as
+   a swapping sift would. The loops stay inside their callers so the
+   moving priority is never boxed. *)
 let push t ~priority v =
-  let entry = { prio = priority; seq = t.next_seq; value = v } in
-  t.next_seq <- t.next_seq + 1;
   grow t;
-  t.data.(t.size) <- entry;
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = t.prio.(parent) in
+    if priority < pp || (priority = pp && s < t.seq.(parent)) then begin
+      move t ~src:parent ~dst:!i;
+      i := parent
+    end
+    else continue := false
+  done;
+  t.prio.(!i) <- priority;
+  t.seq.(!i) <- s;
+  t.vals.(!i) <- Obj.repr v
 
-let peek t =
-  if t.size = 0 then None
-  else
-    let e = t.data.(0) in
-    Some (e.prio, e.value)
+let min_priority t = if t.size = 0 then infinity else t.prio.(0)
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let top = t.vals.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* Sift the last element down from the root. *)
+    let p = t.prio.(n) and s = t.seq.(n) and v = t.vals.(n) in
+    t.vals.(n) <- dummy;
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let c = ref (-1) in
+      if l < n && (t.prio.(l) < p || (t.prio.(l) = p && t.seq.(l) < s)) then
+        c := l;
+      if r < n then begin
+        let cp = if !c < 0 then p else t.prio.(!c)
+        and cs = if !c < 0 then s else t.seq.(!c) in
+        if t.prio.(r) < cp || (t.prio.(r) = cp && t.seq.(r) < cs) then c := r
+      end;
+      if !c < 0 then continue := false
+      else begin
+        move t ~src:!c ~dst:!i;
+        i := !c
+      end
+    done;
+    t.prio.(!i) <- p;
+    t.seq.(!i) <- s;
+    t.vals.(!i) <- v
+  end
+  else t.vals.(0) <- dummy;
+  Obj.obj top
+
+let peek t = if t.size = 0 then None else Some (t.prio.(0), Obj.obj t.vals.(0))
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      t.data.(t.size) <- dummy ();
-      sift_down t 0
-    end
-    else t.data.(0) <- dummy ();
-    Some (top.prio, top.value)
-  end
+  else
+    let p = t.prio.(0) in
+    Some (p, pop_min t)
 
 let clear t =
-  Array.fill t.data 0 t.size (dummy ());
+  Array.fill t.vals 0 t.size dummy;
   t.size <- 0
 
 let to_sorted_list t =

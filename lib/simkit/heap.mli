@@ -1,4 +1,5 @@
-(** Array-based binary min-heap keyed by [(priority, sequence)].
+(** Array-based binary min-heap keyed by [(priority, sequence)], stored
+    as parallel arrays so that the priorities stay unboxed.
 
     The sequence number is assigned at insertion time, so elements with
     equal priority are extracted in insertion order. This determinism is
@@ -22,11 +23,19 @@ val is_empty : 'a t -> bool
 val push : 'a t -> priority:float -> 'a -> unit
 (** [push t ~priority v] inserts [v]. O(log n). *)
 
+val min_priority : 'a t -> float
+(** The minimum element's priority, or [infinity] if empty. O(1). *)
+
+val pop_min : 'a t -> 'a
+(** Remove and return the minimum element. Ties broken by insertion
+    order. O(log n), and allocates nothing: the event loop reads
+    {!min_priority} and then calls this. The heap drops its reference
+    to the removed value, so popped values are collectable
+    immediately.
+    @raise Invalid_argument if the heap is empty. *)
+
 val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum element with its priority, or [None]
-    if empty. Ties broken by insertion order. O(log n). The heap drops
-    its reference to the removed value, so popped values are
-    collectable immediately. *)
+(** {!pop_min} with its priority, or [None] if empty. *)
 
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum without removing it. O(1). *)

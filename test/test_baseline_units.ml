@@ -111,6 +111,10 @@ let test_ra_defer_lower_priority () =
     RA.handle cfg ~now:0.0 st (Receive (2, RA.Request { ts = 5; j = 2 }))
   in
   Alcotest.(check int) "deferred" 0 (List.length (sends effs));
+  let st, effs =
+    RA.handle cfg ~now:0.0 st (Receive (3, RA.Request { ts = 4; j = 3 }))
+  in
+  Alcotest.(check int) "deferred too" 0 (List.length (sends effs));
   (* An incoming request with ts 1 from a smaller id (0 < 1) wins. *)
   let st, effs =
     RA.handle cfg ~now:0.0 st (Receive (0, RA.Request { ts = 1; j = 0 }))
@@ -124,10 +128,10 @@ let test_ra_defer_lower_priority () =
   Alcotest.(check bool) "still not" false (has_enter effs);
   let st, effs = RA.handle cfg ~now:0.0 st (Receive (3, RA.Reply)) in
   Alcotest.(check bool) "entered after N-1 replies" true (has_enter effs);
-  (* Leaving flushes the deferred reply to node 2. *)
+  (* Leaving flushes the deferred replies, in arrival order. *)
   let _, effs = RA.handle cfg ~now:0.0 st Cs_done in
-  Alcotest.(check bool) "deferred reply flushed" true
-    (sends effs = [ (2, RA.Reply) ])
+  Alcotest.(check bool) "deferred replies flushed in order" true
+    (sends effs = [ (2, RA.Reply); (3, RA.Reply) ])
 
 let test_ra_idle_always_replies () =
   let st = RA.init cfg 3 in

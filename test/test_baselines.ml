@@ -220,6 +220,65 @@ let test_fig6_crossover () =
     (Printf.sprintf "new wins at high load (%.2f vs %.2f)" b_hi s_hi)
     true (b_hi < s_hi)
 
+(* Cross-version outcome pin. These figures were recorded from the
+   array-based state representation the broadcast baselines had before
+   they moved to the persistent vectors of [Baselines.Pvec]; a
+   representation change must not move a single message, grant or
+   simulated instant. Each row: algorithm, run kind, N, messages,
+   messages by kind, completed CS, simulated time, mean and max delay.
+   Saturated runs and Poisson runs at an aggregate 2 requests/s, 20N
+   requests, seed 11, on the default constant-delay network. *)
+let golden =
+  [
+    ("suzuki-kasami", "saturated", 10, 2071, [ ("PRIVILEGE", 199); ("REQUEST", 1872) ], 200, 39.800000000000296, 1.9450000000000149, 2.0000000000000284);
+    ("suzuki-kasami", "poisson", 10, 1809, [ ("PRIVILEGE", 180); ("REQUEST", 1629) ], 200, 108.79413578822638, 0.33623018275776873, 0.88238867880341587);
+    ("suzuki-kasami", "saturated", 50, 52351, [ ("PRIVILEGE", 999); ("REQUEST", 51352) ], 1000, 199.79999999999293, 9.7449999999996599, 10.000000000000142);
+    ("suzuki-kasami", "poisson", 50, 48950, [ ("PRIVILEGE", 979); ("REQUEST", 47971) ], 1000, 515.23387791370419, 0.34677976610896444, 1.0772595130932139);
+    ("ricart-agrawala", "saturated", 10, 3735, [ ("REPLY", 1845); ("REQUEST", 1890) ], 200, 40.1000000000003, 1.9600000000000137, 2.1000000000000005);
+    ("ricart-agrawala", "poisson", 10, 3609, [ ("REPLY", 1800); ("REQUEST", 1809) ], 200, 108.79413578822638, 0.36779956484512283, 0.88238867880341587);
+    ("ricart-agrawala", "saturated", 50, 101675, [ ("REPLY", 50225); ("REQUEST", 51450) ], 1000, 200.09999999999292, 9.7599999999996623, 10.09999999999998);
+    ("ricart-agrawala", "poisson", 50, 98000, [ ("REPLY", 49000); ("REQUEST", 49000) ], 1000, 515.23387791370419, 0.36336703389673025, 1.2962074603676683);
+    ("singhal", "saturated", 10, 3627, [ ("REPLY", 1791); ("REQUEST", 1836) ], 200, 39.800000000000296, 1.9450000000000149, 2.0000000000000284);
+    ("singhal", "poisson", 10, 1770, [ ("REPLY", 884); ("REQUEST", 886) ], 200, 108.79413578822638, 0.34467786405307105, 1.0548754321590224);
+    ("singhal", "saturated", 50, 99127, [ ("REPLY", 48951); ("REQUEST", 50176) ], 1000, 199.79999999999293, 9.7449999999996599, 10.000000000000142);
+    ("singhal", "poisson", 50, 46906, [ ("REPLY", 23453); ("REQUEST", 23453) ], 1000, 515.23387791370419, 0.36114932226394419, 1.643373109490426);
+    ("lamport", "saturated", 10, 5571, [ ("ACK", 1881); ("RELEASE", 1800); ("REQUEST", 1890) ], 200, 40.1000000000003, 1.9600000000000137, 2.1000000000000005);
+    ("lamport", "poisson", 10, 5409, [ ("ACK", 1800); ("RELEASE", 1800); ("REQUEST", 1809) ], 200, 108.79413578822638, 0.36593452996868031, 0.88238867880341587);
+    ("lamport", "saturated", 50, 151851, [ ("ACK", 51401); ("RELEASE", 49000); ("REQUEST", 51450) ], 1000, 200.09999999999292, 9.7599999999996623, 10.09999999999998);
+    ("lamport", "poisson", 50, 147000, [ ("ACK", 49000); ("RELEASE", 49000); ("REQUEST", 49000) ], 1000, 515.23387791370419, 0.36312508932748772, 1.2962074603676683);
+  ]
+
+let test_golden_outcomes () =
+  let run algo kind n =
+    let cfg = Types.Config.default ~n in
+    let requests = 20 * n and seed = 11 in
+    let go (module A : Types.ALGO) =
+      let module R = Sim_runner.Make (A) in
+      if kind = "saturated" then R.run_saturated ~seed ~requests cfg
+      else R.run_poisson ~seed ~requests ~rate:(2.0 /. float n) cfg
+    in
+    match algo with
+    | "suzuki-kasami" -> go (module Baselines.Suzuki_kasami)
+    | "ricart-agrawala" -> go (module Baselines.Ricart_agrawala)
+    | "singhal" -> go (module Baselines.Singhal)
+    | "lamport" -> go (module Baselines.Lamport)
+    | _ -> assert false
+  in
+  List.iter
+    (fun (algo, kind, n, messages, by_kind, completed, sim_time, mean_delay,
+          max_delay) ->
+      let o = run algo kind n in
+      let name what = Printf.sprintf "%s %s n=%d: %s" algo kind n what in
+      Alcotest.(check int) (name "messages") messages o.Sim_runner.messages;
+      Alcotest.(check (list (pair string int))) (name "by kind") by_kind
+        o.by_kind;
+      Alcotest.(check int) (name "completed") completed o.completed;
+      (* Exact: the same event order gives the same float arithmetic. *)
+      Alcotest.(check (float 0.0)) (name "sim time") sim_time o.sim_time;
+      Alcotest.(check (float 0.0)) (name "mean delay") mean_delay o.mean_delay;
+      Alcotest.(check (float 0.0)) (name "max delay") max_delay o.max_delay)
+    golden
+
 let suite =
   ( "baselines",
     [
@@ -240,4 +299,6 @@ let suite =
         test_paper_ordering_at_saturation;
       Alcotest.test_case "figure 6 winner at high load" `Slow
         test_fig6_crossover;
+      Alcotest.test_case "broadcast baselines: golden outcomes" `Quick
+        test_golden_outcomes;
     ] )

@@ -92,6 +92,53 @@ let test_nested_scheduling () =
   Alcotest.(check (list string)) "nested zero-delay fires before later"
     [ "outer"; "inner"; "later" ] (List.rev !log)
 
+let test_cancelled_not_counted () =
+  (* Cancelled events are skipped without counting toward the bound. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let hs =
+    List.init 10 (fun i ->
+        Engine.schedule e ~delay:(float_of_int (i + 1)) (fun _ ->
+            log := i :: !log))
+  in
+  List.iteri (fun i h -> if i mod 2 = 0 then Engine.cancel e h) hs;
+  Engine.run ~max_events:3 e;
+  Alcotest.(check (list int)) "three live events fired" [ 1; 3; 5 ]
+    (List.rev !log);
+  Alcotest.(check (float 0.0)) "clock at the third" 6.0 (Engine.now e);
+  Alcotest.(check int) "pending" 2 (Engine.pending e);
+  Engine.run ~max_events:0 e;
+  Alcotest.(check int) "zero bound fires nothing" 3 (List.length !log)
+
+let test_until_with_cancelled () =
+  (* The bound moves the clock only while a live event lies past it; a
+     cancelled one does not hold the clock. *)
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~delay:1.0 (fun _ -> ()));
+  let late = Engine.schedule e ~delay:10.0 (fun _ -> ()) in
+  Engine.cancel e late;
+  Engine.run ~until:5.0 e;
+  Alcotest.(check (float 0.0)) "only cancelled beyond: clock stays" 1.0
+    (Engine.now e);
+  let fired = ref false in
+  ignore (Engine.schedule e ~delay:9.0 (fun _ -> fired := true));
+  Engine.run ~until:5.0 e;
+  Alcotest.(check (float 0.0)) "live beyond: clock at bound" 5.0
+    (Engine.now e);
+  Alcotest.(check bool) "not fired yet" false !fired;
+  Alcotest.(check bool) "step fires it" true (Engine.step e);
+  Alcotest.(check bool) "fired" true !fired;
+  Alcotest.(check (float 0.0)) "clock at the event" 10.0 (Engine.now e);
+  Alcotest.(check bool) "agenda empty" false (Engine.step e)
+
+let test_cancel_after_fire () =
+  let e = Engine.create () in
+  let h = Engine.schedule e ~delay:1.0 (fun _ -> ()) in
+  ignore (Engine.schedule e ~delay:2.0 (fun _ -> ()));
+  Alcotest.(check bool) "fired one" true (Engine.step e);
+  Engine.cancel e h;
+  Alcotest.(check int) "late cancel is a no-op" 1 (Engine.pending e)
+
 let suite =
   ( "engine",
     [
@@ -103,4 +150,9 @@ let suite =
       Alcotest.test_case "max events" `Quick test_max_events;
       Alcotest.test_case "past scheduling rejected" `Quick test_past_rejected;
       Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
+      Alcotest.test_case "cancelled events not counted" `Quick
+        test_cancelled_not_counted;
+      Alcotest.test_case "until with cancelled events" `Quick
+        test_until_with_cancelled;
+      Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
     ] )

@@ -108,6 +108,71 @@ let prop_size =
       done;
       Simkit.Heap.size h = List.length ps - pops)
 
+let test_min_priority_pop_min () =
+  let h = Simkit.Heap.create () in
+  Alcotest.(check (float 0.0)) "empty: infinity" infinity
+    (Simkit.Heap.min_priority h);
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
+      ignore (Simkit.Heap.pop_min h));
+  List.iter (fun p -> Simkit.Heap.push h ~priority:p (int_of_float p))
+    [ 3.0; 1.0; 2.0 ];
+  Alcotest.(check (float 0.0)) "min priority" 1.0 (Simkit.Heap.min_priority h);
+  Alcotest.(check int) "pop_min" 1 (Simkit.Heap.pop_min h);
+  Alcotest.(check (float 0.0)) "next min" 2.0 (Simkit.Heap.min_priority h);
+  Alcotest.(check int) "size" 2 (Simkit.Heap.size h);
+  Alcotest.(check int) "pop_min" 2 (Simkit.Heap.pop_min h);
+  Alcotest.(check int) "pop_min" 3 (Simkit.Heap.pop_min h);
+  Alcotest.(check (float 0.0)) "drained: infinity" infinity
+    (Simkit.Heap.min_priority h)
+
+let test_fifo_ties_across_growth () =
+  (* Equal priorities interleaved with others, through several
+     doublings from a one-slot heap: each priority class still drains
+     in insertion order. *)
+  let h = Simkit.Heap.create ~capacity:1 () in
+  for i = 0 to 999 do
+    Simkit.Heap.push h ~priority:(float_of_int (i mod 3)) i
+  done;
+  let drained = List.map snd (Simkit.Heap.to_sorted_list h) in
+  let expected =
+    List.concat_map
+      (fun c -> List.filter (fun i -> i mod 3 = c) (List.init 1000 Fun.id))
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "insertion order within each priority"
+    expected drained
+
+let test_pop_min_allocates_nothing () =
+  let h = Simkit.Heap.create ~capacity:1 () in
+  let v = "event" in
+  (* Boxed priority constants, so the loop itself allocates nothing. *)
+  let rec push_all = function
+    | [] -> ()
+    | p :: rest ->
+        Simkit.Heap.push h ~priority:p v;
+        push_all rest
+  in
+  let prios = [ 3.0; 1.0; 2.0; 1.0; 0.5; 2.0 ] in
+  let cycles k =
+    for _ = 1 to k do
+      push_all prios;
+      for _ = 1 to 6 do
+        ignore (Simkit.Heap.pop_min h)
+      done
+    done
+  in
+  cycles 10 (* warm-up: grow the arrays to their final size *);
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words ignore in
+  let loop = words (fun () -> cycles 10_000) in
+  Alcotest.(check (float 0.0)) "push/pop_min loop allocates 0 minor words"
+    0.0 (loop -. base)
+
 let suite =
   ( "heap",
     [
@@ -125,4 +190,10 @@ let suite =
         test_drain_releases_last_value;
       QCheck_alcotest.to_alcotest prop_sorted;
       QCheck_alcotest.to_alcotest prop_size;
+      Alcotest.test_case "min_priority and pop_min" `Quick
+        test_min_priority_pop_min;
+      Alcotest.test_case "FIFO ties across growth" `Quick
+        test_fifo_ties_across_growth;
+      Alcotest.test_case "push/pop_min allocates nothing" `Quick
+        test_pop_min_allocates_nothing;
     ] )

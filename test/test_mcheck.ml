@@ -57,20 +57,43 @@ let test_central_exhaustive () =
   | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace));
   Alcotest.(check bool) "exhausted" false r.truncated
 
+(* The checker keys states by the digest of their marshalled image, so
+   a baseline whose state representation is not canonical (equal
+   contents, different shape) splits one state into several. These
+   ceilings are the exhaustive n=3 state counts of the array-based
+   representations; a representation change may merge states, never
+   split them. *)
+let check_states name ~bound states =
+  if states > bound then
+    Alcotest.failf "%s: %d states, more than the %d of a canonical state"
+      name states bound
+
 let test_ricart_exhaustive () =
   let module M = Mcheck.Make (Baselines.Ricart_agrawala) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
   (match r.violation with
   | None -> ()
   | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace));
-  Alcotest.(check bool) "exhausted" false r.truncated
+  Alcotest.(check bool) "exhausted" false r.truncated;
+  check_states "ricart-agrawala" ~bound:3236 r.states
 
 let test_suzuki_exhaustive () =
   let module M = Mcheck.Make (Baselines.Suzuki_kasami) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
   match r.violation with
-  | None -> Alcotest.(check bool) "exhausted" false r.truncated
+  | None ->
+      Alcotest.(check bool) "exhausted" false r.truncated;
+      check_states "suzuki-kasami" ~bound:725 r.states
   | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace)
+
+let test_singhal_exhaustive () =
+  let module M = Mcheck.Make (Baselines.Singhal) in
+  let r = M.run ~fifo:true ~requests_per_node:1 (Types.Config.default ~n:3) in
+  match r.violation with
+  | None ->
+      Alcotest.(check bool) "exhausted" false r.truncated;
+      check_states "singhal" ~bound:417 r.states
+  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
 
 let test_raymond_exhaustive () =
   let module M = Mcheck.Make (Baselines.Raymond) in
@@ -85,7 +108,9 @@ let test_lamport_fifo_exhaustive () =
   let module M = Mcheck.Make (Baselines.Lamport) in
   let r = M.run ~fifo:true ~requests_per_node:1 (Types.Config.default ~n:3) in
   match r.violation with
-  | None -> Alcotest.(check bool) "exhausted" false r.truncated
+  | None ->
+      Alcotest.(check bool) "exhausted" false r.truncated;
+      check_states "lamport (FIFO)" ~bound:183_519 r.states
   | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
 
 let test_lamport_needs_fifo () =
@@ -507,6 +532,8 @@ let suite =
         test_ricart_exhaustive;
       Alcotest.test_case "suzuki-kasami n=3 exhaustive" `Quick
         test_suzuki_exhaustive;
+      Alcotest.test_case "singhal n=3 exhaustive (FIFO)" `Quick
+        test_singhal_exhaustive;
       Alcotest.test_case "raymond n=3 exhaustive" `Slow
         test_raymond_exhaustive;
       Alcotest.test_case "maekawa n=3 (bounded)" `Slow test_maekawa_bounded;
