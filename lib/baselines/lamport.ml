@@ -11,11 +11,14 @@
     true of both our simulated network (deterministic per-pair latency)
     and TCP.
 
-    The state is kept in persistent sets/maps rather than sorted lists
-    and copied arrays: a saturated start floods ~2N² messages, and at
-    N=1000 an O(N)-per-message representation turns one sweep point
-    into minutes of list churn. Everything below is O(log N) or
-    O(N/62) per message. *)
+    The request queue is one persistent int vector [ts_of]: j's queued
+    request timestamp, or 0 (every timestamp is at least 1). Beside it
+    are two counts, [queued] entries and [ahead], those ordered before
+    our own request, so the CS entry check is O(1). A saturated start
+    floods ~2N² messages, and each step costs one vector update (a
+    16-slot chunk and the N/16-slot spine), no per-message tree nodes.
+    The state is canonical: equal queue contents give equal [Marshal]
+    images, however they were built. *)
 
 open Dmutex.Types
 
@@ -26,23 +29,18 @@ type message =
 
 type timer = |
 
-(* The request queue as a set of (timestamp, node): min element = head
-   of Lamport's queue. *)
-module Rq = Set.Make (struct
-  type t = int * node_id
-
-  let compare = compare
-end)
-
-module Im = Map.Make (Int)
+module Ints = Pvec.Ints
 module Bits = Pvec.Bits
 
 type state = {
   me : node_id;
   n : int;
   clock : int;
-  queue : Rq.t;  (* pending requests, (ts, j) ordered *)
-  ts_of : int Im.t;  (* j -> its queued request's timestamp *)
+  ts_of : Ints.t;  (* j -> its queued request's timestamp, 0 if none *)
+  queued : int;  (* queued requests, ours included *)
+  ahead : int;
+      (* queued (ts, j) ordered before our request; 0 when not
+         requesting, so our request heads the queue iff [ahead = 0] *)
   requesting : bool;
   heard : Bits.t;
       (* nodes k <> me heard from with a timestamp above our request's,
@@ -66,8 +64,9 @@ let init cfg me =
     me;
     n = cfg.Config.n;
     clock = 0;
-    queue = Rq.empty;
-    ts_of = Im.empty;
+    ts_of = Ints.make cfg.Config.n;
+    queued = 0;
+    ahead = 0;
     requesting = false;
     heard = Bits.empty cfg.Config.n;
     heard_count = 0;
@@ -81,7 +80,7 @@ let in_cs st = st.in_cs
 (* No shared-mode path: every grant is exclusive. *)
 let cs_mode _ = Exclusive
 let wants_cs st = st.requesting || st.pending > 0
-let my_ts st = match Im.find_opt st.me st.ts_of with Some t -> t | None -> -1
+let my_ts st = Ints.get st.ts_of st.me
 
 (* Record a timestamp heard from [src]. Entry needs, from every other
    node, a message timestamped above our request: the first such
@@ -102,16 +101,34 @@ let note_heard st src ts =
     { st with heard = Bits.add st.heard src; heard_count = st.heard_count + 1 }
   else st
 
-let enqueue (ts, j) st =
-  { st with queue = Rq.add (ts, j) st.queue; ts_of = Im.add j ts st.ts_of }
+(* Whether queue entry (ts, j) is ordered before our request. *)
+let before st ts j =
+  st.requesting
+  &&
+  let mine = my_ts st in
+  ts < mine || (ts = mine && j < st.me)
 
-(* Remove [j]'s queued request, if any (FIFO channels guarantee at
-   most one is queued per node). *)
+(* Queue [j]'s request (FIFO channels guarantee at most one is queued
+   per node). *)
+let enqueue ts j st =
+  {
+    st with
+    ts_of = Ints.set st.ts_of j ts;
+    queued = st.queued + 1;
+    ahead = (if before st ts j then st.ahead + 1 else st.ahead);
+  }
+
+(* Remove [j]'s queued request, if any. *)
 let dequeue j st =
-  match Im.find_opt j st.ts_of with
-  | None -> st
-  | Some ts ->
-      { st with queue = Rq.remove (ts, j) st.queue; ts_of = Im.remove j st.ts_of }
+  let ts = Ints.get st.ts_of j in
+  if ts = 0 then st
+  else
+    {
+      st with
+      ts_of = Ints.set st.ts_of j 0;
+      queued = st.queued - 1;
+      ahead = (if before st ts j then st.ahead - 1 else st.ahead);
+    }
 
 (* CS entry condition: our request heads the queue and every other
    node has spoken since our request's timestamp. *)
@@ -119,7 +136,7 @@ let try_enter st =
   if
     st.requesting && (not st.in_cs)
     && st.heard_count = st.n - 1
-    && Rq.min_elt_opt st.queue = Some (my_ts st, st.me)
+    && st.ahead = 0
   then ({ st with in_cs = true }, [ Enter_cs ])
   else (st, [])
 
@@ -129,14 +146,20 @@ let rec handle cfg ~now st input =
       if st.requesting || st.in_cs then
         ({ st with pending = st.pending + 1 }, [])
       else begin
+        (* [clock] is at least every queued timestamp (see
+           [note_heard]), so (clock + 1, me) is ordered after every
+           queued request: all of them are ahead of ours. *)
         let ts = st.clock + 1 in
-        let st = enqueue (ts, st.me) { st with clock = ts; requesting = true } in
+        let st =
+          enqueue ts st.me
+            { st with clock = ts; requesting = true; ahead = st.queued }
+        in
         if st.n = 1 then ({ st with in_cs = true }, [ Enter_cs ])
         else (st, [ Broadcast (Request { ts; j = st.me }) ])
       end
   | Receive (src, Request { ts; j }) ->
       let clock = max st.clock ts + 1 in
-      let st = note_heard (enqueue (ts, j) { st with clock }) src ts in
+      let st = note_heard (enqueue ts j { st with clock }) src ts in
       (* The ACK's timestamp must exceed the request's. *)
       let st, effs = try_enter st in
       (st, Send (src, Ack { ts = clock }) :: effs)
@@ -150,7 +173,7 @@ let rec handle cfg ~now st input =
       let ts = st.clock + 1 in
       let st =
         dequeue st.me
-          { st with clock = ts; in_cs = false; requesting = false;
+          { st with clock = ts; in_cs = false; requesting = false; ahead = 0;
             heard = Bits.empty st.n; heard_count = 0 }
       in
       let effs =
@@ -175,10 +198,17 @@ let pp_message ppf = function
   | Release { ts; j } -> Format.fprintf ppf "RELEASE(%d,%d)" ts j
 
 let pp_state ppf st =
+  let queue =
+    List.filter_map
+      (fun j ->
+        let ts = Ints.get st.ts_of j in
+        if ts = 0 then None else Some (ts, j))
+      (List.init st.n Fun.id)
+  in
   Format.fprintf ppf "node %d: clock=%d queue=[%s]%s%s" st.me st.clock
     (String.concat ";"
        (List.map
           (fun (ts, j) -> Printf.sprintf "(%d,%d)" ts j)
-          (Rq.elements st.queue)))
+          (List.sort compare queue)))
     (if st.requesting then " requesting" else "")
     (if st.in_cs then " IN-CS" else "")

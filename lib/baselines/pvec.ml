@@ -17,13 +17,17 @@
       block, so the marshalled image does not depend on which updates
       happened to share a block. *)
 
-(** An int vector as a spine of 16-slot chunks (the last one shorter).
-    [set] copies one chunk and the spine. *)
+(** An int vector of 16-slot chunks under one spine, every slot 0
+    until set. [set] copies one chunk and the spine. A chunk whose
+    slots are all 0 is the empty array: [make] allocates only the
+    spine, and [set] folds a chunk back to the empty array when it
+    returns to all-zero, so the representation stays canonical. The
+    empty array is an atom, which [Marshal] never shares. *)
 module Ints : sig
   type t
 
-  val make : int -> int -> t
-  (** [make n v] has [n] slots, each [v]. *)
+  val make : int -> t
+  (** [make n] has [n] slots, each 0. *)
 
   val get : t -> int -> int
   val set : t -> int -> int -> t
@@ -35,19 +39,35 @@ end = struct
   let width = 1 lsl bits
   let mask = width - 1
 
-  let make n v =
-    Array.init ((n + mask) lsr bits) (fun c ->
-        Array.make (min width (n - (c lsl bits))) v)
+  (* A materialized chunk always has [width] slots; those past [n] in
+     the last chunk are never read. *)
+  let make n = Array.make ((n + mask) lsr bits) [||]
 
-  let get v i = v.(i lsr bits).(i land mask)
+  let get v i =
+    let chunk = v.(i lsr bits) in
+    if Array.length chunk = 0 then 0 else chunk.(i land mask)
+
+  (* Whether every slot of [chunk] but [k] is 0. *)
+  let zero_except chunk k =
+    let rec go j = j = width || ((j = k || chunk.(j) = 0) && go (j + 1)) in
+    go 0
 
   let set v i x =
-    let c = i lsr bits in
+    let c = i lsr bits and k = i land mask in
     let chunk = v.(c) in
-    if chunk.(i land mask) = x then v
+    if (if Array.length chunk = 0 then 0 else chunk.(k)) = x then v
     else begin
-      let chunk = Array.copy chunk in
-      chunk.(i land mask) <- x;
+      let chunk =
+        if x = 0 && zero_except chunk k then [||]
+        else begin
+          let chunk =
+            if Array.length chunk = 0 then Array.make width 0
+            else Array.copy chunk
+          in
+          chunk.(k) <- x;
+          chunk
+        end
+      in
       let v = Array.copy v in
       v.(c) <- chunk;
       v

@@ -36,10 +36,10 @@ let init cfg me =
   {
     me;
     n;
-    rn = Ints.make n 0;
+    rn = Ints.make n;
     token =
       (if me = cfg.Config.initial_arbiter then
-         Some { ln = Ints.make n 0; tq = [] }
+         Some { ln = Ints.make n; tq = [] }
        else None);
     requesting = false;
     in_cs = false;

@@ -164,8 +164,16 @@ module Make (A : Types.ALGO) = struct
       let now = Engine.now t.engine in
       let state', effects = A.handle t.cfg ~now node.state input in
       node.state <- state';
-      List.iter (apply t i) effects
+      apply_all t i effects
     end
+
+  (* A direct loop rather than [List.iter (apply t i)], which would
+     allocate a partial application per step. *)
+  and apply_all t i = function
+    | [] -> ()
+    | effect :: rest ->
+        apply t i effect;
+        apply_all t i rest
 
   and apply t i effect =
     let node = t.nodes.(i) in
@@ -186,7 +194,7 @@ module Make (A : Types.ALGO) = struct
         Network.send t.net ~src:i ~dst m
     | Types.Broadcast m ->
         let kind = A.message_kind m in
-        Stats.Counter.incr ~by:(t.cfg.Types.Config.n - 1) t.kinds kind;
+        Stats.Counter.add t.kinds kind (t.cfg.Types.Config.n - 1);
         (match node.pm with
         | Some pm ->
             Dmutex_obs.Protocol_metrics.sent_many pm ~kind
@@ -261,7 +269,7 @@ module Make (A : Types.ALGO) = struct
         (match n with
         | Types.Queue_length k ->
             node.dispatches <- node.dispatches + 1;
-            Stats.Counter.incr ~by:k t.notes "queue-length-sum"
+            Stats.Counter.add t.notes "queue-length-sum" k
         | _ -> ())
 
   and cs_exit t i =

@@ -32,6 +32,12 @@ val schedule_at : t -> time:float -> (t -> unit) -> handle
 (** [schedule_at t ~time f] runs [f t] at absolute time [time], which
     must not be in the simulated past. *)
 
+val post : t -> delay:float -> ('a -> unit) -> 'a -> handle
+(** [post t ~delay f x] runs [f x] at time [now t +. delay]; {!schedule}
+    is [post] with the engine as argument. Posting many events through
+    one preallocated [f] allocates only the event per post, not a
+    closure capturing [x]. [delay] must be non-negative. *)
+
 val cancel : t -> handle -> unit
 (** Cancel a scheduled event. Cancelling an already-fired or
     already-cancelled event is a no-op. *)

@@ -50,8 +50,10 @@ let move t ~src ~dst =
 (* Both sifts move a hole instead of swapping, comparing the moving
    (priority, seq) key against the same slots, in the same order, as
    a swapping sift would. The loops stay inside their callers so the
-   moving priority is never boxed. *)
-let push t ~priority v =
+   moving priority is never boxed, and [push] is inlined into the
+   engine's posting path, so an event's time is not boxed to cross
+   into it either. *)
+let[@inline] push t ~priority v =
   grow t;
   let s = t.next_seq in
   t.next_seq <- s + 1;
@@ -71,7 +73,7 @@ let push t ~priority v =
   t.seq.(!i) <- s;
   t.vals.(!i) <- Obj.repr v
 
-let min_priority t = if t.size = 0 then infinity else t.prio.(0)
+let[@inline] min_priority t = if t.size = 0 then infinity else t.prio.(0)
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
@@ -106,6 +108,13 @@ let pop_min t =
   end
   else t.vals.(0) <- dummy;
   Obj.obj top
+
+type cell = { mutable value : float }
+
+let pop_min_into t cell =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  cell.value <- t.prio.(0);
+  pop_min t
 
 let peek t = if t.size = 0 then None else Some (t.prio.(0), Obj.obj t.vals.(0))
 

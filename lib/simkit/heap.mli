@@ -28,10 +28,19 @@ val min_priority : 'a t -> float
 
 val pop_min : 'a t -> 'a
 (** Remove and return the minimum element. Ties broken by insertion
-    order. O(log n), and allocates nothing: the event loop reads
-    {!min_priority} and then calls this. The heap drops its reference
+    order. O(log n), and allocates nothing. The heap drops its reference
     to the removed value, so popped values are collectable
     immediately.
+    @raise Invalid_argument if the heap is empty. *)
+
+type cell = { mutable value : float }
+(** A float-only record, so its field is stored unboxed. *)
+
+val pop_min_into : 'a t -> cell -> 'a
+(** {!pop_min}, also storing the removed element's priority in the
+    cell. A float returned from a function that is not inlined is
+    boxed; this hands the priority over without allocating, also where
+    cross-module inlining is off.
     @raise Invalid_argument if the heap is empty. *)
 
 val pop : 'a t -> (float * 'a) option

@@ -40,6 +40,12 @@ let regions ~region_of ~base ?(jitter_sigma = 0.0) () =
 
 type verdict = Deliver | Drop | Delay of float
 
+(* One message in flight. Every arrival is an engine event posted to
+   the network's one [arrive] function with this record as argument,
+   so a message costs the event, this record and the boxed arrival
+   time, and no closure. *)
+type 'm arrival = { src : int; dst : int; msg : 'm }
+
 type 'm t = {
   engine : Engine.t;
   n : int;
@@ -53,13 +59,32 @@ type 'm t = {
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
+  arrive : 'm arrival -> unit;
 }
+
+(* Self-sends are delivered but not counted. *)
+let arrive t { src; dst; msg } =
+  let counted = src <> dst in
+  (* Re-check the destination: it may have crashed in flight. *)
+  if t.crashed.(dst) then begin
+    if counted then t.dropped <- t.dropped + 1
+  end
+  else begin
+    if counted then t.delivered <- t.delivered + 1;
+    match t.handler with
+    | Some h -> h ~src ~dst msg
+    | None -> failwith "Network: no handler installed"
+  end
 
 let create engine ~n ~rng ~latency =
   if n <= 0 then invalid_arg "Network.create: n must be positive";
-  { engine; n; rng; latency; handler = None; loss = 0.0; interceptor = None;
-    crashed = Array.make n false; group_of = None;
-    sent = 0; delivered = 0; dropped = 0 }
+  let rec t =
+    { engine; n; rng; latency; handler = None; loss = 0.0; interceptor = None;
+      crashed = Array.make n false; group_of = None;
+      sent = 0; delivered = 0; dropped = 0;
+      arrive = (fun a -> arrive t a) }
+  in
+  t
 
 let n t = t.n
 let engine t = t.engine
@@ -90,7 +115,12 @@ let severed t ~src ~dst =
   | None -> false
   | Some g -> g.(src) <> g.(dst)
 
-let rec send t ~src ~dst msg =
+(* Inlined into [send] with [Engine.post], so the delay and the
+   arrival time stay unboxed up to the heap push. *)
+let[@inline] deliver t ~src ~dst ~delay msg =
+  ignore (Engine.post t.engine ~delay t.arrive { src; dst; msg })
+
+let send t ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Network.send: node id out of range";
   let counted = src <> dst in
@@ -105,23 +135,8 @@ let rec send t ~src ~dst msg =
   in
   match verdict with
   | Drop -> if counted then t.dropped <- t.dropped + 1
-  | Deliver -> deliver t ~src ~dst ~counted ~delay:(base_delay t ~src ~dst) msg
-  | Delay d ->
-      deliver t ~src ~dst ~counted ~delay:(base_delay t ~src ~dst +. d) msg
-
-and deliver t ~src ~dst ~counted ~delay msg =
-  ignore
-    (Engine.schedule t.engine ~delay (fun _engine ->
-         (* Re-check the destination: it may have crashed in flight. *)
-         if t.crashed.(dst) then begin
-           if counted then t.dropped <- t.dropped + 1
-         end
-         else begin
-           if counted then t.delivered <- t.delivered + 1;
-           match t.handler with
-           | Some h -> h ~src ~dst msg
-           | None -> failwith "Network: no handler installed"
-         end))
+  | Deliver -> deliver t ~src ~dst ~delay:(base_delay t ~src ~dst) msg
+  | Delay d -> deliver t ~src ~dst ~delay:(base_delay t ~src ~dst +. d) msg
 
 let broadcast t ~src msg =
   for dst = 0 to t.n - 1 do

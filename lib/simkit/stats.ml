@@ -189,13 +189,18 @@ module Counter = struct
 
   let create () : t = Hashtbl.create 16
 
-  let incr ?(by = 1) t name =
-    match Hashtbl.find_opt t name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t name (ref by)
+  (* [Hashtbl.find] with a [Not_found] handler, not [find_opt]: no
+     option per call, so bumping an existing counter allocates
+     nothing. *)
+  let add t name by =
+    match Hashtbl.find t name with
+    | r -> r := !r + by
+    | exception Not_found -> Hashtbl.add t name (ref by)
+
+  let incr t name = add t name 1
 
   let get t name =
-    match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+    match Hashtbl.find t name with r -> !r | exception Not_found -> 0
 
   (* Zero in place rather than [Hashtbl.reset]: keeps the interned key
      strings and ref cells, so a reused sweep arena allocates nothing. *)

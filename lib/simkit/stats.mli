@@ -88,7 +88,13 @@ module Counter : sig
   type t
 
   val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
+  val incr : t -> string -> unit
+  (** [incr t name] is [add t name 1]. *)
+
+  val add : t -> string -> int -> unit
+  (** [add t name k] adds [k] to counter [name], creating it at [k].
+      Neither [add] nor [incr] allocates once [name] exists. *)
+
   val get : t -> string -> int
 
   val reset : t -> unit

@@ -340,6 +340,207 @@ let test_lamport_ack_timestamp () =
       Alcotest.(check bool) "ack ts above request ts" true (ts > 7)
   | _ -> Alcotest.fail "expected one ACK"
 
+(* Lamport's request queue is a flat timestamp vector with two counts,
+   [queued] and [ahead]. [Lamport_ref] is the earlier representation,
+   a (timestamp, node) [Set] with a node -> timestamp [Map], kept here
+   as the model: on any input sequence both must emit the same effects
+   and print the same state. *)
+module Lamport_ref = struct
+  type message = LM.message =
+    | Request of { ts : int; j : node_id }
+    | Ack of { ts : int }
+    | Release of { ts : int; j : node_id }
+
+  module Rq = Set.Make (struct
+    type t = int * node_id
+
+    let compare = compare
+  end)
+
+  module Im = Map.Make (Int)
+
+  type state = {
+    me : node_id;
+    n : int;
+    clock : int;
+    queue : Rq.t;
+    ts_of : int Im.t;
+    requesting : bool;
+    heard : bool array;
+    in_cs : bool;
+    pending : int;
+  }
+
+  let init cfg me =
+    { me; n = cfg.Config.n; clock = 0; queue = Rq.empty; ts_of = Im.empty;
+      requesting = false; heard = Array.make cfg.Config.n false;
+      in_cs = false; pending = 0 }
+
+  let my_ts st =
+    match Im.find_opt st.me st.ts_of with Some t -> t | None -> -1
+
+  let note_heard st src ts =
+    if st.requesting && src <> st.me && ts > my_ts st && not st.heard.(src)
+    then begin
+      let heard = Array.copy st.heard in
+      heard.(src) <- true;
+      { st with heard }
+    end
+    else st
+
+  let enqueue (ts, j) st =
+    { st with queue = Rq.add (ts, j) st.queue; ts_of = Im.add j ts st.ts_of }
+
+  let dequeue j st =
+    match Im.find_opt j st.ts_of with
+    | None -> st
+    | Some ts ->
+        { st with queue = Rq.remove (ts, j) st.queue;
+          ts_of = Im.remove j st.ts_of }
+
+  let try_enter st =
+    let heard = Array.fold_left (fun k b -> if b then k + 1 else k) 0 st.heard in
+    if
+      st.requesting && (not st.in_cs) && heard = st.n - 1
+      && Rq.min_elt_opt st.queue = Some (my_ts st, st.me)
+    then ({ st with in_cs = true }, [ Enter_cs ])
+    else (st, [])
+
+  let rec handle cfg ~now st input =
+    match input with
+    | Request_cs | Request_shared_cs ->
+        if st.requesting || st.in_cs then
+          ({ st with pending = st.pending + 1 }, [])
+        else begin
+          let ts = st.clock + 1 in
+          let st = enqueue (ts, st.me) { st with clock = ts; requesting = true } in
+          if st.n = 1 then ({ st with in_cs = true }, [ Enter_cs ])
+          else (st, [ Broadcast (Request { ts; j = st.me }) ])
+        end
+    | Receive (src, Request { ts; j }) ->
+        let clock = max st.clock ts + 1 in
+        let st = note_heard (enqueue (ts, j) { st with clock }) src ts in
+        let st, effs = try_enter st in
+        (st, Send (src, Ack { ts = clock }) :: effs)
+    | Receive (src, Ack { ts }) ->
+        try_enter (note_heard { st with clock = max st.clock ts } src ts)
+    | Receive (src, Release { ts; j }) ->
+        try_enter
+          (note_heard (dequeue j { st with clock = max st.clock ts }) src ts)
+    | Cs_done ->
+        let ts = st.clock + 1 in
+        let st =
+          dequeue st.me
+            { st with clock = ts; in_cs = false; requesting = false;
+              heard = Array.make st.n false }
+        in
+        let effs =
+          if st.n = 1 then [] else [ Broadcast (Release { ts; j = st.me }) ]
+        in
+        if st.pending > 0 then
+          let st, effs' =
+            handle cfg ~now { st with pending = st.pending - 1 } Request_cs
+          in
+          (st, effs @ effs')
+        else (st, effs)
+    | Timer_fired _ -> (st, [])
+
+  let pp_state ppf st =
+    Format.fprintf ppf "node %d: clock=%d queue=[%s]%s%s" st.me st.clock
+      (String.concat ";"
+         (List.map
+            (fun (ts, j) -> Printf.sprintf "(%d,%d)" ts j)
+            (Rq.elements st.queue)))
+      (if st.requesting then " requesting" else "")
+      (if st.in_cs then " IN-CS" else "")
+end
+
+(* One random step: [(op, k, ts)] picks the input, a peer and a
+   timestamp. Inputs stay within what FIFO channels can deliver: CS
+   exit only from inside the CS, and a peer's REQUEST only while that
+   peer has none queued (otherwise it becomes that peer's RELEASE). *)
+let lamport_input (r : Lamport_ref.state) (op, k, ts) =
+  let src = (r.me + 1 + (k mod (r.n - 1))) mod r.n in
+  let queued = Lamport_ref.Im.mem src r.ts_of in
+  match op mod 5 with
+  | 0 -> Request_cs
+  | 1 -> if r.in_cs then Cs_done else Request_cs
+  | 2 when not queued -> Receive (src, LM.Request { ts; j = src })
+  | 2 | 4 -> Receive (src, LM.Release { ts; j = src })
+  | _ -> Receive (src, LM.Ack { ts })
+
+let prop_lamport_model =
+  QCheck.Test.make ~name:"lamport: flat queue matches the Set/Map model"
+    ~count:500
+    QCheck.(
+      triple (int_range 2 6) small_nat
+        (list_of_size Gen.(0 -- 80)
+           (triple small_nat small_nat (int_range 1 30))))
+    (fun (n, me, ops) ->
+      let cfg = Config.default ~n in
+      let me = me mod n in
+      let show pp st = Format.asprintf "%a" pp st in
+      let rec go st r = function
+        | [] -> true
+        | op :: rest ->
+            let input = lamport_input r op in
+            let st, effs = LM.handle cfg ~now:0.0 st input in
+            let r, reffs = Lamport_ref.handle cfg ~now:0.0 r input in
+            let same_state = show LM.pp_state st = show Lamport_ref.pp_state r in
+            if effs <> reffs || not same_state then
+              QCheck.Test.fail_reportf "diverged at %s: %s vs %s"
+                (match input with
+                | Receive (src, m) -> Format.asprintf "%d:%a" src LM.pp_message m
+                | Request_cs -> "request-cs"
+                | Cs_done -> "cs-done"
+                | _ -> "?")
+                (show LM.pp_state st) (show Lamport_ref.pp_state r)
+            else
+              LM.in_cs st = r.in_cs
+              && LM.wants_cs st = (r.requesting || r.pending > 0)
+              && go st r rest
+      in
+      go (LM.init cfg me) (Lamport_ref.init cfg me) ops)
+
+let test_lamport_canonical () =
+  (* The same queue built in two arrival orders, while requesting, so
+     [ahead] counts some of the entries: one state, one image. *)
+  let n = 8 and me = 4 in
+  let cfg = Config.default ~n in
+  let digest st = Digest.to_hex (Digest.string (Marshal.to_string st [])) in
+  let build order =
+    let st, _ = LM.handle cfg ~now:0.0 (LM.init cfg me) Request_cs in
+    List.fold_left
+      (fun st j ->
+        fst (LM.handle cfg ~now:0.0 st (Receive (j, LM.Request { ts = 1; j }))))
+      st order
+  in
+  let peers = [ 0; 1; 2; 3; 5; 6; 7 ] in
+  let a = build peers and b = build (List.rev peers) in
+  Alcotest.(check string) "same state" (Format.asprintf "%a" LM.pp_state a)
+    (Format.asprintf "%a" LM.pp_state b);
+  Alcotest.(check bool) "structurally equal" true (a = b);
+  Alcotest.(check string) "same marshalled image" (digest a) (digest b);
+  (* Ahead of us: the four ts=1 requests from lower ids. Their releases
+     in either order, then every ack, let us in. *)
+  let release st j =
+    fst (LM.handle cfg ~now:0.0 st (Receive (j, LM.Release { ts = 3; j })))
+  in
+  let a = List.fold_left release a [ 0; 1; 2; 3 ]
+  and b = List.fold_left release b [ 3; 2; 1; 0 ] in
+  Alcotest.(check string) "same image after releases" (digest a) (digest b);
+  let entered =
+    List.fold_left
+      (fun (st, entered) j ->
+        let st, effs =
+          LM.handle cfg ~now:0.0 st (Receive (j, LM.Ack { ts = 5 }))
+        in
+        (st, entered || has_enter effs))
+      (a, false) [ 5; 6; 7 ]
+  in
+  Alcotest.(check bool) "enters once the lower ids released" true
+    (snd entered)
+
 (* ----------------------- fault capability ------------------------ *)
 
 (* None of the eight baselines models failures, and each must say so:
@@ -448,6 +649,9 @@ let suite =
         test_lamport_queue_order;
       Alcotest.test_case "lamport: ack timestamps" `Quick
         test_lamport_ack_timestamp;
+      Alcotest.test_case "lamport: canonical queue" `Quick
+        test_lamport_canonical;
+      QCheck_alcotest.to_alcotest prop_lamport_model;
       Alcotest.test_case "all baselines refuse injected faults" `Quick
         test_baselines_refuse_faults;
       Alcotest.test_case "fault plans validated before scheduling" `Quick

@@ -195,10 +195,43 @@ let test_region_matrix_sampling () =
     (Invalid_argument "Network.regions: base matrix must be square") (fun () ->
       ignore (Network.regions ~region_of ~base:[| [| 0.1 |]; [| 0.1; 0.2 |] |] ()))
 
+(* One message's whole path, send to handler, on [Constant] latency:
+   the engine event, the in-flight record and the boxed arrival time,
+   10 minor words at most (there was once a fresh closure per message
+   and the times were boxed twice). *)
+let test_delivery_allocation () =
+  let e = Engine.create () in
+  let net =
+    Network.create e ~n:2 ~rng:(Rng.create 1) ~latency:(Network.Constant 0.1)
+  in
+  let delivered = ref 0 in
+  Network.set_handler net (fun ~src:_ ~dst:_ _ -> incr delivered);
+  let msg = "m" in
+  let cycles k =
+    for _ = 1 to k do
+      Network.send net ~src:0 ~dst:1 msg;
+      ignore (Engine.step e)
+    done
+  in
+  cycles 10 (* warm-up: the agenda's arrays reach their final size *);
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words ignore in
+  let k = 10_000 in
+  let per_msg = (words (fun () -> cycles k) -. base) /. float_of_int k in
+  Alcotest.(check int) "all delivered" (k + 10) !delivered;
+  if per_msg > 10.0 then
+    Alcotest.failf "send + delivery: %.2f minor words per message, over 10"
+      per_msg
+
 let suite =
   ( "network",
     [
       Alcotest.test_case "delivery delay" `Quick test_delivery_delay;
+      Alcotest.test_case "delivery allocation" `Quick test_delivery_allocation;
       Alcotest.test_case "broadcast costs n-1" `Quick test_broadcast_count;
       Alcotest.test_case "self-send uncounted" `Quick test_self_send_uncounted;
       Alcotest.test_case "loss model" `Quick test_loss;

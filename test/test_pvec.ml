@@ -8,7 +8,7 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 let n = 200
 
 let test_ints_persistent () =
-  let v0 = Ints.make n 0 in
+  let v0 = Ints.make n in
   let v1 = Ints.set v0 17 5 in
   let v2 = Ints.set v1 17 6 in
   Alcotest.(check int) "old version unchanged" 0 (Ints.get v0 17);
@@ -24,14 +24,26 @@ let test_ints_persistent () =
 let test_ints_canonical () =
   let set_all v l = List.fold_left (fun v (i, x) -> Ints.set v i x) v l in
   let ops = [ (3, 1); (20, 2); (199, 3); (16, 4); (15, 5) ] in
-  let a = set_all (Ints.make n 0) ops in
-  let b = set_all (Ints.make n 0) (List.rev ops) in
+  let a = set_all (Ints.make n) ops in
+  let b = set_all (Ints.make n) (List.rev ops) in
   Alcotest.(check bool) "insertion orders give equal values" true (a = b);
   Alcotest.(check string) "and the same marshalled image" (digest a) (digest b);
-  let back = Ints.set (Ints.set (Ints.make n 0) 40 9) 40 0 in
-  Alcotest.(check bool) "set and reset equals fresh" true (back = Ints.make n 0);
-  Alcotest.(check string) "with the same image" (digest (Ints.make n 0))
-    (digest back)
+  let back = Ints.set (Ints.set (Ints.make n) 40 9) 40 0 in
+  Alcotest.(check bool) "set and reset equals fresh" true (back = Ints.make n);
+  Alcotest.(check string) "with the same image" (digest (Ints.make n))
+    (digest back);
+  (* Two slots of one chunk, and a neighbouring chunk, cleared in
+     different orders. *)
+  let set_some = set_all (Ints.make n) [ (32, 1); (33, 2); (48, 3) ] in
+  let cleared_a = set_all set_some [ (32, 0); (33, 0) ] in
+  let cleared_b = set_all set_some [ (33, 0); (32, 0) ] in
+  let only_48 = Ints.set (Ints.make n) 48 3 in
+  Alcotest.(check bool) "cleared chunk equals untouched" true
+    (cleared_a = only_48 && cleared_b = only_48);
+  Alcotest.(check string) "cleared chunk: same image" (digest only_48)
+    (digest cleared_a);
+  Alcotest.(check string) "either clearing order: same image" (digest only_48)
+    (digest cleared_b)
 
 let test_bits_persistent () =
   let s0 = Bits.empty n in
@@ -74,9 +86,13 @@ let test_bits_canonical () =
   Alcotest.(check bool) "insertion orders give equal values" true (a = b);
   Alcotest.(check string) "and the same marshalled image" (digest a) (digest b)
 
+(* Writes of 0 make chunks return to all-zero, which must give the
+   same value and image as a vector built from the model directly. *)
 let prop_ints_model =
-  QCheck.Test.make ~name:"int vector matches an array model" ~count:200
-    QCheck.(pair (int_range 1 100) (small_list (pair small_nat small_int)))
+  QCheck.Test.make ~name:"int vector matches an array model" ~count:300
+    QCheck.(
+      pair (int_range 1 100)
+        (small_list (pair small_nat (oneof [ always 0; small_int ]))))
     (fun (n, ops) ->
       let model = Array.make n 0 in
       let v =
@@ -85,9 +101,17 @@ let prop_ints_model =
             let i = i mod n in
             model.(i) <- x;
             Ints.set v i x)
-          (Ints.make n 0) ops
+          (Ints.make n) ops
       in
-      List.for_all (fun i -> Ints.get v i = model.(i)) (List.init n Fun.id))
+      let direct =
+        Array.fold_left
+          (fun (v, i) x -> (Ints.set v i x, i + 1))
+          (Ints.make n, 0) model
+        |> fst
+      in
+      List.for_all (fun i -> Ints.get v i = model.(i)) (List.init n Fun.id)
+      && v = direct
+      && digest v = digest direct)
 
 let prop_bits_model =
   QCheck.Test.make ~name:"bit set matches a bool-array model" ~count:200

@@ -71,13 +71,37 @@ let test_histogram () =
 let test_counter () =
   let c = Counter.create () in
   Counter.incr c "a";
-  Counter.incr ~by:4 c "b";
+  Counter.add c "b" 4;
   Counter.incr c "a";
   Alcotest.(check int) "a" 2 (Counter.get c "a");
   Alcotest.(check int) "b" 4 (Counter.get c "b");
   Alcotest.(check int) "missing" 0 (Counter.get c "zzz");
   Alcotest.(check (list (pair string int))) "sorted list"
     [ ("a", 2); ("b", 4) ] (Counter.to_list c)
+
+(* The simulator bumps a counter per message sent: on an existing key
+   neither [incr], [add] nor [get] may allocate. *)
+let test_counter_allocates_nothing () =
+  let c = Counter.create () in
+  let key = "REQUEST" in
+  Counter.incr c key;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words ignore in
+  let loop =
+    words (fun () ->
+        for _ = 1 to 10_000 do
+          Counter.incr c key;
+          Counter.add c key 3;
+          ignore (Sys.opaque_identity (Counter.get c key))
+        done)
+  in
+  Alcotest.(check (float 0.0)) "incr/add/get allocate 0 minor words" 0.0
+    (loop -. base);
+  Alcotest.(check int) "counted" 40_001 (Counter.get c key)
 
 let prop_tally_mean =
   QCheck.Test.make ~name:"tally mean equals list mean" ~count:300
@@ -113,6 +137,8 @@ let suite =
       Alcotest.test_case "moving window" `Quick test_window;
       Alcotest.test_case "histogram" `Quick test_histogram;
       Alcotest.test_case "counter" `Quick test_counter;
+      Alcotest.test_case "counter allocates nothing" `Quick
+        test_counter_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_tally_mean;
       QCheck_alcotest.to_alcotest prop_window_mean;
     ] )
