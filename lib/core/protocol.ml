@@ -1247,6 +1247,43 @@ let surface_pending cfg ~now (st, effs) =
   end
   else (st, effs)
 
+(* A PRIVILEGE arrived. Leading entries of ours that no request in
+   flight stands for — duplicates of served ones, or ones a restarted
+   node issued before its crash — are marked served and skipped:
+   entering the CS for them would hand it to whichever local request
+   waits next, under a token of an epoch that request never saw. A
+   request parked meanwhile is surfaced. *)
+let take_token cfg ~now st token =
+  let stale_own e =
+    e.Qlist.node = st.me
+    && (match st.outstanding with Some s -> s > e.Qlist.seq | None -> true)
+  in
+  let rec skip token =
+    match token.tq with
+    | head :: rest when stale_own head ->
+        skip
+          { token with tq = rest;
+            granted = Qlist.Granted.mark token.granted head }
+    | _ -> token
+  in
+  let skipped = skip token in
+  let st =
+    if skipped == token then st
+    else
+      { st with
+        granted_known = Qlist.Granted.merge st.granted_known skipped.granted }
+  in
+  let st, effs =
+    match skipped.tq with
+    | head :: _ when head.Qlist.node = st.me ->
+        launch_token cfg ~now st skipped
+    | _ -> pass_token_on cfg ~now st skipped
+  in
+  if skipped == token then (st, effs)
+  else if st.outstanding = None && not st.in_cs then
+    surface_pending cfg ~now (st, Note (Custom "stale-own-entry") :: effs)
+  else (st, Note (Custom "stale-own-entry") :: effs)
+
 (* The whole shared batch is over (our own CS and every READ-DONE):
    mark every batch entry in the served vector at once — one grant,
    one fencing advance — drop the batch from the Q-list and move the
@@ -2263,12 +2300,7 @@ let handle_inner cfg ~now st (input : (message, timer) input) :
             election = max st.election token.election;
             amnesiac = false; sync_wait = false; recovery = None }
         in
-        let st, effs =
-          match token.tq with
-          | head :: _ when head.Qlist.node = st.me ->
-              launch_token cfg ~now st token
-          | _ -> pass_token_on cfg ~now st token
-        in
+        let st, effs = take_token cfg ~now st token in
         if aborted then (st, Cancel_timer T_enquiry :: effs) else (st, effs)
       end
   | Receive (_, Monitor_privilege token) ->

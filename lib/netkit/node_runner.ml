@@ -24,12 +24,9 @@ struct
     store : Dmutex_store.Store.t option;
     notes : (string, int) Hashtbl.t;
     mutable waiters : int;  (** threads blocked in [with_lock]. *)
-    mutable async_pending : int;
-        (** [acquire] calls whose grant has not landed yet; such a
-            grant is kept held for the caller to [release]. *)
-    mutable abandoned : int;
-        (** [with_lock] timeouts whose stale grant is still owed a
-            drain. *)
+    async_pending : (A.state -> bool) Queue.t;
+        (** The [granted] callbacks of [acquire] calls whose grant has
+            not landed yet, oldest first. *)
   }
 
   type t = {
@@ -221,19 +218,18 @@ struct
         | Some pm -> Dmutex_obs.Protocol_metrics.cs_entered pm ~now:(now t)
         | None -> ());
         trace_emit t ~inst "cs.enter" [];
-        if inst.waiters = 0 && inst.async_pending > 0 then begin
-          (* A fire-and-forget [acquire]: keep the CS held; the caller
-             polls [holding] and must [release]. *)
-          inst.async_pending <- inst.async_pending - 1;
-          Condition.broadcast inst.granted;
-          t.on_grant ~lock:inst.key
+        if inst.waiters = 0 && not (Queue.is_empty inst.async_pending)
+        then begin
+          (* A fire-and-forget [acquire]: its callback keeps the CS
+             held for the caller to [release], or declines it. *)
+          if not ((Queue.pop inst.async_pending) inst.state) then
+            step_locked t inst Cs_done
         end
         else if inst.waiters = 0 then begin
           (* No caller is waiting: either a [with_lock] gave up on this
              request, or a recovery re-granted one already satisfied.
              Either way, holding it would freeze the token here
              forever — release immediately so it moves on. *)
-          if inst.abandoned > 0 then inst.abandoned <- inst.abandoned - 1;
           Log.debug (fun m ->
               m "node %d: draining stale grant for %S" t.me inst.key);
           step_locked t inst Cs_done
@@ -514,8 +510,7 @@ struct
             store;
             notes = Hashtbl.create 16;
             waiters = 0;
-            async_pending = 0;
-            abandoned = 0;
+            async_pending = Queue.create ();
           })
       locks;
     let t =
@@ -648,10 +643,16 @@ struct
     | Dmutex.Types.Exclusive -> Request_cs
     | Dmutex.Types.Shared -> Request_shared_cs
 
-  let acquire ?(lock = default_lock) ?(mode = Dmutex.Types.Exclusive) t =
+  let acquire ?(lock = default_lock) ?(mode = Dmutex.Types.Exclusive) ?granted
+      t =
     let inst = find_inst t lock in
+    let granted =
+      Option.value granted ~default:(fun _ ->
+          t.on_grant ~lock;
+          true)
+    in
     Mutex.lock inst.lock;
-    inst.async_pending <- inst.async_pending + 1;
+    Queue.push granted inst.async_pending;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock inst.lock)
       (fun () -> step_locked t inst (request_input mode))
@@ -708,11 +709,9 @@ struct
     Hashtbl.remove t.waiter_wheel wid;
     Mutex.unlock t.wheel_mu;
     inst.waiters <- inst.waiters - 1;
-    (* On timeout the REQUEST is already queued cluster-wide; mark it
-       abandoned so the grant, when it lands, is drained instead of
-       leaving this node holding a lock nobody wants (see [Enter_cs]
-       in [apply]). *)
-    if not ok then inst.abandoned <- inst.abandoned + 1;
+    (* On timeout the REQUEST is already queued cluster-wide; with no
+       caller waiting, its grant is drained when it lands (see
+       [Enter_cs] in [apply]). *)
     Mutex.unlock inst.lock;
     ok
 

@@ -96,10 +96,16 @@ module Make
   val locks : t -> string list
   (** The lock keys this node hosts, in [create] order. *)
 
-  val acquire : ?lock:string -> ?mode:Dmutex.Types.mode -> t -> unit
+  val acquire :
+    ?lock:string -> ?mode:Dmutex.Types.mode -> ?granted:(A.state -> bool) ->
+    t -> unit
   (** Ask for the critical section of [lock] (non-blocking). [mode]
       (default [Exclusive]) labels the request; [Shared] requests at
-      the head of the queue are served together as one reader batch. *)
+      the head of the queue are served together as one reader batch.
+      On the grant, [granted] (default: fire [on_grant], return [true])
+      gets the post-grant state on the thread that ran the step, under
+      the instance's mutex, so it must not call into the node: [true]
+      keeps the CS for the caller to {!release}, [false] releases it. *)
 
   val release : ?lock:string -> t -> unit
   (** Leave the critical section of [lock]. Must only be called while
@@ -107,7 +113,8 @@ module Make
 
   val holding : ?lock:string -> t -> bool
   (** Whether this node is currently inside [lock]'s critical
-      section. *)
+      section. Takes the instance's mutex, so it returns only after a
+      [granted] callback running for [lock] has returned. *)
 
   val with_lock :
     ?timeout:float ->

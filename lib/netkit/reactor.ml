@@ -1,8 +1,9 @@
-(* A single-threaded I/O event loop running on its own domain (via
-   Simkit.Domainx; a system thread on the 4.14 fallback). The API is
-   deliberately epoll-shaped — register an fd with read/write
-   interest, get a ready callback — so the [Unix.select] core can be
-   swapped for real epoll bindings without touching callers.
+(* A single-threaded I/O event loop, either on the calling thread
+   ([run]) or on its own domain ([start], via Simkit.Domainx; a system
+   thread on the 4.14 fallback). The API is deliberately epoll-shaped
+   — register an fd with read/write interest, get a ready callback —
+   so the [Unix.select] core can be swapped for real epoll bindings
+   without touching callers.
 
    Threading contract:
    - [wake], [post], and [stop] are safe from any thread.
@@ -166,19 +167,20 @@ let rec loop t buf =
     end
   end
 
-let start t =
-  t.domain <-
-    Some
-      (Simkit.Domainx.spawn (fun () ->
-           let buf = Bytes.create 256 in
-           (try loop t buf
-            with e ->
-              Log.err (fun m ->
-                  m "reactor loop died: %s" (Printexc.to_string e)));
-           (try Unix.close t.wake_rd with _ -> ());
-           try Unix.close t.wake_wr with _ -> ()))
+(* Run the loop on the calling thread until [stop]; closes the wake
+   pipe on the way out. *)
+let run t =
+  let buf = Bytes.create 256 in
+  (try loop t buf
+   with e ->
+     Log.err (fun m -> m "reactor loop died: %s" (Printexc.to_string e)));
+  (try Unix.close t.wake_rd with _ -> ());
+  try Unix.close t.wake_wr with _ -> ()
 
-(* Ask the loop to stop and wait for it to exit. The owner is
+let start t = t.domain <- Some (Simkit.Domainx.spawn (fun () -> run t))
+
+(* Ask the loop to stop, and wait for it to exit if [start] gave it its
+   own domain; the caller of [run] joins its own thread. The owner is
    responsible for closing its registered fds (typically from a thunk
    posted just before [stop]). Must not be called from the loop. *)
 let stop t =

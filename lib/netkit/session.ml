@@ -1,5 +1,23 @@
 module Obs = Dmutex_obs
 
+let src_log = Logs.Src.create "netkit.session" ~doc:"client session service"
+
+module Log = (val Logs.src_log src_log)
+
+(* How often the loop looks for lapsed leases and waiter deadlines. *)
+let sweep_period = 0.05
+
+(* Connections beyond [max_sessions]: room for resumes and probes
+   racing the connection they replace. *)
+let conn_slack = 16
+
+(* [Unix.select] fails with EINVAL on a descriptor at or past
+   FD_SETSIZE, which would stop the loop. *)
+let select_limit = 1024
+
+(* A descriptor's number; on Unix [Unix.file_descr] is the int. *)
+let fd_index (fd : Unix.file_descr) : int = Obj.magic fd
+
 module Make
     (A : Dmutex.Types.ALGO)
     (C : Wire.CODEC with type message = A.message) =
@@ -7,24 +25,24 @@ struct
   module Node = Node_runner.Make (A) (C)
   module WC = Wire.Client
 
+  (* Everything below is owned by the server's event loop and written
+     only from it; [stats], [sessions] and [last_fencing] read single
+     fields from other threads. *)
+
   type conn = {
     fd : Unix.file_descr;
-    wmu : Mutex.t;
-    mutable wopen : bool;  (** false once a write failed or we closed it. *)
+    st : Session_frame.stream;
+    mutable attached : session option;
+    mutable c_open : bool;  (** false once closed *)
   }
 
-  type session = {
+  and session = {
     sid : string;
     s_lease_ms : int;
-    smu : Mutex.t;
-    scond : Condition.t;
-        (** Signalled on release, expiry and close — what a serving
-            pump thread sleeps on while its client is in the CS. *)
     mutable sconn : conn option;  (** [None] while detached. *)
     mutable s_deadline : float;
         (** Lease deadline while attached; grace deadline once
-            detached. The sweeper expires the session past it. *)
-    mutable s_alive : bool;
+            detached. The sweep expires the session past it. *)
     mutable s_held : (string * int) list;  (** lock -> fencing token *)
     mutable s_inflight : int;  (** queued acquires, all locks *)
   }
@@ -37,13 +55,21 @@ struct
             together under one node hold; exclusive ones alone. *)
     w_deadline : float;
     mutable w_pending : bool;
+        (** false once granted, timed out or cancelled; only pending
+            waiters belong to a live, attached session. *)
   }
 
   type lockq = {
     lq_lock : string;
-    lq_mu : Mutex.t;
-    lq_cond : Condition.t;  (** wakes the pump when a waiter arrives *)
     mutable lq_waiters : waiter list;  (** FIFO, head served first *)
+    mutable lq_requests : int;  (** node requests not granted yet *)
+    mutable lq_horizon : float;
+        (** The latest deadline among the waiters the last request was
+            made for; past it, with waiters left, the sweep asks
+            again. *)
+    mutable lq_holders : session list;
+        (** Sessions the node holds the CS for; the node releases it
+            when the last one leaves. *)
     mutable lq_last_fencing : int;
     lq_grants : Obs.Registry.Counter.handle option;
     lq_fencing : Obs.Registry.Gauge.handle option;
@@ -67,22 +93,18 @@ struct
     max_sessions : int;
     max_waiters : int;
     max_inflight : int;
-    mu : Mutex.t;  (** registry, rng, counters *)
+    loop : Reactor.t;
+    mutable thread : Thread.t option;
+    closed : bool Atomic.t;
     sessions : (string, session) Hashtbl.t;
     locks : (string, lockq) Hashtbl.t;
+    conns : (Unix.file_descr, conn) Hashtbl.t;
     rng : Random.State.t;
     sock : Unix.file_descr;
     port : int;
-    mutable stopping : bool;
-    mutable accept_thread : Thread.t option;
-    mutable sweep_thread : Thread.t option;
-    (* plain counters under [mu]; mirrored into [obs] when present *)
-    mutable n_opened : int;
-    mutable n_resumed : int;
-    mutable n_expired : int;
-    mutable n_granted : int;
-    mutable n_rejected : int;
-    mutable n_stale : int;
+    mutable next_sweep : float;
+    mutable accept_paused : bool;  (** out of descriptors; see [accept_all] *)
+    mutable counts : stats;  (** mirrored into [obs] when present *)
     obs : Obs.Registry.t option;
     g_sessions : Obs.Registry.Gauge.handle option;
     c_opened : Obs.Registry.Counter.handle option;
@@ -107,27 +129,72 @@ struct
 
   let now () = Unix.gettimeofday ()
 
+  (* One failing protocol step (say, a store that can no longer fsync)
+     must not take the loop, and with it every session, down. *)
+  let guarded what f =
+    try f ()
+    with e ->
+      Log.err (fun m -> m "session %s failed: %s" what (Printexc.to_string e))
+
   (* ---------------------------------------------------------------- *)
-  (* Connection writes *)
+  (* Connections *)
 
-  (* Serialized per connection; a failed or timed-out write marks the
-     connection dead and closes it, which pops the reader thread out
-     of its blocking read and runs the detach path. Never raises. *)
-  let send_resp conn resp =
-    Mutex.lock conn.wmu;
-    (try
-       if conn.wopen then
-         Session_frame.send conn.fd (WC.encode_response resp)
-     with _ ->
-       conn.wopen <- false;
-       (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ()));
-    Mutex.unlock conn.wmu
+  (* Cancel every queued acquire of [s] (session closing, expiring or
+     detaching). The waiters stay in their lock queues — the grant and
+     the sweep skip non-pending entries — they just stop being eligible
+     for a grant. *)
+  let cancel_waiters t s =
+    Hashtbl.iter
+      (fun _ lq ->
+        List.iter
+          (fun w -> if w.w_sess == s && w.w_pending then w.w_pending <- false)
+          lq.lq_waiters)
+      t.locks;
+    s.s_inflight <- 0
 
-  let close_conn conn =
-    Mutex.lock conn.wmu;
-    conn.wopen <- false;
-    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
-    Mutex.unlock conn.wmu
+  (* A connection died (EOF, error, or we closed it). Detach its
+     session: the session survives until the grace deadline so the
+     client can fail over and resume by sid; its queued acquires are
+     cancelled (the client re-issues them after resuming), and its
+     held grants stay held — release still belongs to the client until
+     the lease/grace runs out. *)
+  let detach t s =
+    cancel_waiters t s;
+    s.sconn <- None;
+    s.s_deadline <- now () +. (float_of_int t.grace_ms /. 1000.);
+    trace t "session.detach" [ ("sid", s.sid) ]
+
+  let drop_conn t c =
+    if c.c_open then begin
+      c.c_open <- false;
+      Reactor.remove t.loop c.fd;
+      Hashtbl.remove t.conns c.fd;
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      match c.attached with
+      | Some s ->
+          c.attached <- None;
+          detach t s
+      | None -> ()
+    end
+
+  (* Write what the socket takes now and leave the rest for the loop.
+     A client that lets more than a frame's worth of replies pile up
+     is not reading: it is cut off (and its session detached) rather
+     than buffered without bound. *)
+  let flush_conn t c =
+    match Session_frame.flush c.st with
+    | exception Unix.Unix_error _ -> drop_conn t c
+    | pending when pending > Session_frame.max_frame ->
+        trace t ~severity:Obs.Events.Warn "session.slow_reader"
+          [ ("pending", string_of_int pending) ];
+        drop_conn t c
+    | pending -> Reactor.modify t.loop c.fd ~read:true ~write:(pending > 0)
+
+  let send_resp t c resp =
+    if c.c_open then begin
+      Session_frame.output c.st (WC.encode_response resp);
+      flush_conn t c
+    end
 
   (* ---------------------------------------------------------------- *)
   (* Session registry *)
@@ -139,14 +206,8 @@ struct
     done;
     Buffer.contents b
 
-  let live_sessions t =
-    Hashtbl.fold (fun _ s acc -> if s.s_alive then acc + 1 else acc)
-      t.sessions 0
-
-  let reject t conn ~rid reason ~retry_after_ms =
-    Mutex.lock t.mu;
-    t.n_rejected <- t.n_rejected + 1;
-    Mutex.unlock t.mu;
+  let count_rejection t reason =
+    t.counts <- { t.counts with rejected = t.counts.rejected + 1 };
     (match t.obs with
     | Some reg ->
         Obs.Registry.Counter.incr
@@ -155,65 +216,30 @@ struct
              Obs.Names.client_rejections_total)
     | None -> ());
     trace t ~severity:Obs.Events.Warn "session.reject"
-      [ ("reason", WC.string_of_reason reason) ];
-    send_resp conn (WC.Rejected { rid; reason; retry_after_ms })
+      [ ("reason", WC.string_of_reason reason) ]
 
-  (* Cancel every queued acquire of [s] (session closing, expiring or
-     detaching). The waiters stay in their lock queues — the pump and
-     sweeper skip non-pending entries — they just stop being eligible
-     for a grant. *)
-  let cancel_waiters t s =
-    Hashtbl.iter
-      (fun _ lq ->
-        Mutex.lock lq.lq_mu;
-        List.iter
-          (fun w -> if w.w_sess == s && w.w_pending then w.w_pending <- false)
-          lq.lq_waiters;
-        Mutex.unlock lq.lq_mu)
-      t.locks;
-    Mutex.lock s.smu;
-    s.s_inflight <- 0;
-    Mutex.unlock s.smu
+  let reject t c ~rid reason ~retry_after_ms =
+    count_rejection t reason;
+    send_resp t c (WC.Rejected { rid; reason; retry_after_ms })
 
-  (* Expire a session: lease ran out (attached: the client stalled;
-     detached: the grace window closed) or the node is shutting down.
-     Held grants are not revoked here — flipping [s_alive] and
-     broadcasting wakes the pump thread serving the grant, which
-     strips the hold and releases the distributed lock; the fencing
-     token the client still has is then stale by construction. *)
-  let expire_session t s ~reason =
-    let conn =
-      Mutex.lock s.smu;
-      let c = s.sconn in
-      if s.s_alive then begin
-        s.s_alive <- false;
-        s.sconn <- None;
-        Condition.broadcast s.scond
-      end;
-      Mutex.unlock s.smu;
-      c
-    in
-    cancel_waiters t s;
-    Mutex.lock t.mu;
-    Hashtbl.remove t.sessions s.sid;
-    t.n_expired <- t.n_expired + 1;
-    set_gauge t.g_sessions (float_of_int (live_sessions t));
-    Mutex.unlock t.mu;
-    incr_counter t.c_expiries;
-    trace t ~severity:Obs.Events.Warn "session.expire"
-      [ ("sid", s.sid); ("reason", reason) ];
-    match conn with
+  (* A queued acquire passed its deadline: an explicit timeout. *)
+  let time_out t w =
+    w.w_pending <- false;
+    let s = w.w_sess in
+    s.s_inflight <- max 0 (s.s_inflight - 1);
+    match s.sconn with
+    | Some c -> reject t c ~rid:w.w_rid WC.Lock_timeout ~retry_after_ms:0
     | None -> ()
-    | Some conn ->
-        send_resp conn (WC.Session_lost { rid = 0; reason });
-        close_conn conn
 
   (* ---------------------------------------------------------------- *)
-  (* Grant pump: one thread per lock. It waits for a pending waiter,
-     asks the node for the distributed lock with [with_lock] (whose
-     timeout machinery also drains abandoned grants), and while inside
-     the CS serves the oldest still-pending waiter until that client
-     releases, closes, or its lease expires. *)
+  (* Grants: one node request per lock at a time. It is issued for the
+     head waiter's mode when the lock has pending waiters and no
+     holders; its grant callback posts the post-grant state here, where
+     the next batch is served under that grant, and the node releases
+     when the batch's last holder leaves. A request still ungranted
+     when every waiter it was made for has timed out is made once more
+     for the waiters that came since; whichever grant lands with nobody
+     left to serve is released at once. *)
 
   (* Pop the run of waiters one node hold can serve in [mode]:
      exclusive — just the oldest eligible waiter; shared — the maximal
@@ -222,20 +248,13 @@ struct
      session-layer mirror of the protocol's reader batch). Expired
      waiters met on the way are rejected with [Lock_timeout]. *)
   let pop_batch t lq ~mode =
+    let t_now = now () in
     let rec go acc = function
       | [] -> (List.rev acc, [])
       | w :: rest ->
           if not w.w_pending then go acc rest
-          else if now () > w.w_deadline then begin
-            w.w_pending <- false;
-            Mutex.lock w.w_sess.smu;
-            w.w_sess.s_inflight <- max 0 (w.w_sess.s_inflight - 1);
-            let conn = w.w_sess.sconn in
-            Mutex.unlock w.w_sess.smu;
-            (match conn with
-            | Some conn ->
-                reject t conn ~rid:w.w_rid WC.Lock_timeout ~retry_after_ms:0
-            | None -> ());
+          else if t_now > w.w_deadline then begin
+            time_out t w;
             go acc rest
           end
           else begin
@@ -246,458 +265,418 @@ struct
                 else (List.rev acc, w :: rest)
           end
     in
-    Mutex.lock lq.lq_mu;
     let batch, rest = go [] lq.lq_waiters in
     lq.lq_waiters <- rest;
     set_gauge lq.lq_depth (float_of_int (List.length rest));
-    Mutex.unlock lq.lq_mu;
     batch
 
-  (* Runs inside [Node.with_lock ~mode]: the node is in the CS for
-     [lq.lq_lock] on some clients' behalf. In [Shared] mode the whole
-     leading run of shared waiters is granted together under one
-     fencing token — shared holders are peers, not an order, exactly
-     as in the protocol's reader batch; in [Exclusive] mode exactly
-     one client is served. Returns [true] if any client was actually
-     served (so the caller knows progress was made). *)
-  let serve t lq mode () =
-    let st = Node.state ~lock:lq.lq_lock t.node in
-    match t.fencing st with
-    | None ->
-        (* Not a genuine first-time grant (e.g. a recovery re-granted
-           an already-served request): issuing a fencing token here
-           could repeat a value, so drop the grant and retry. *)
-        Mutex.lock t.mu;
-        t.n_stale <- t.n_stale + 1;
-        Mutex.unlock t.mu;
-        incr_counter t.c_stale;
-        trace t ~severity:Obs.Events.Warn "session.stale_grant"
-          [ ("lock", lq.lq_lock) ];
-        false
-    | Some fencing ->
-        if fencing <= lq.lq_last_fencing then begin
+  let set_horizon lq =
+    lq.lq_horizon <-
+      List.fold_left
+        (fun acc w -> if w.w_pending then Float.max acc w.w_deadline else acc)
+        0. lq.lq_waiters
+
+  let rec request t lq =
+    if lq.lq_holders = [] && not (Atomic.get t.closed) then
+      match List.find_opt (fun w -> w.w_pending) lq.lq_waiters with
+      | None -> ()
+      | Some w ->
+          (* A shared head pulls its whole run of fellow readers in
+             with it, an exclusive head is served alone. *)
+          let mode = w.w_mode in
+          lq.lq_requests <- lq.lq_requests + 1;
+          set_horizon lq;
+          Node.acquire ~lock:lq.lq_lock ~mode t.node ~granted:(fun st ->
+              (* On the thread that ran the step, under the node's
+                 instance mutex: hand the grant to the loop. Once shut
+                 down, decline it and the node drains it in place. *)
+              if Atomic.get t.closed then false
+              else begin
+                Reactor.post t.loop (fun () ->
+                    guarded "grant" (fun () -> on_granted t lq mode st));
+                true
+              end)
+
+  and maybe_request t lq = if lq.lq_requests = 0 then request t lq
+
+  and release_node t lq =
+    Node.release ~lock:lq.lq_lock t.node;
+    maybe_request t lq
+
+  (* The node entered [lq]'s CS in [mode] with post-grant state [st].
+     Serve the next batch under it, or give it straight back. In
+     [Shared] mode the whole leading run of shared waiters is granted
+     together under one fencing token — shared holders are peers, not
+     an order, exactly as in the protocol's reader batch. *)
+  and on_granted t lq mode st =
+    lq.lq_requests <- lq.lq_requests - 1;
+    (* A request still to come now stands for the waiters left. *)
+    if lq.lq_requests > 0 then set_horizon lq;
+    let stale severity name fields =
+      t.counts <- { t.counts with stale_grants = t.counts.stale_grants + 1 };
+      incr_counter t.c_stale;
+      trace t ~severity name (("lock", lq.lq_lock) :: fields);
+      false
+    in
+    let served =
+      match t.fencing st with
+      | _ when Atomic.get t.closed -> false
+      | None ->
+          (* Not a genuine first-time grant (e.g. a recovery re-granted
+             an already-served request): issuing a fencing token here
+             could repeat a value, so drop the grant and retry. *)
+          stale Obs.Events.Warn "session.stale_grant" []
+      | Some fencing when fencing <= lq.lq_last_fencing ->
           (* Defence in depth: never let a non-increasing token out. *)
-          Mutex.lock t.mu;
-          t.n_stale <- t.n_stale + 1;
-          Mutex.unlock t.mu;
-          incr_counter t.c_stale;
-          trace t ~severity:Obs.Events.Error "session.fencing_regression"
+          stale Obs.Events.Error "session.fencing_regression"
             [
-              ("lock", lq.lq_lock);
               ("fencing", string_of_int fencing);
               ("last", string_of_int lq.lq_last_fencing);
-            ];
-          false
-        end
-        else begin
+            ]
+      | Some fencing -> (
           match pop_batch t lq ~mode with
           | [] -> false (* nobody still wants it; release right away *)
           | batch ->
               lq.lq_last_fencing <- fencing;
               let mode_label =
-                match (mode : Dmutex.Types.mode) with
+                match mode with
                 | Dmutex.Types.Shared -> "shared"
                 | Dmutex.Types.Exclusive -> "exclusive"
               in
-              let granted =
-                List.filter_map
-                  (fun w ->
-                    let s = w.w_sess in
-                    Mutex.lock s.smu;
-                    w.w_pending <- false;
-                    s.s_inflight <- max 0 (s.s_inflight - 1);
-                    if not s.s_alive then begin
-                      (* Raced its own expiry: drop this grant. *)
-                      Mutex.unlock s.smu;
-                      None
-                    end
-                    else begin
-                      s.s_held <- (lq.lq_lock, fencing) :: s.s_held;
-                      let conn = s.sconn in
-                      Mutex.unlock s.smu;
-                      Mutex.lock t.mu;
-                      t.n_granted <- t.n_granted + 1;
-                      Mutex.unlock t.mu;
-                      incr_counter lq.lq_grants;
-                      set_gauge lq.lq_fencing (float_of_int fencing);
-                      trace t "session.grant"
-                        [
-                          ("sid", s.sid);
-                          ("lock", lq.lq_lock);
-                          ("fencing", string_of_int fencing);
-                          ("mode", mode_label);
-                        ];
-                      (match conn with
-                      | Some conn ->
-                          send_resp conn
-                            (WC.Granted
-                               { rid = w.w_rid; lock = lq.lq_lock; fencing })
-                      | None -> ());
-                      Some s
-                    end)
-                  batch
-              in
-              if granted = [] then false
-              else begin
-                (* Hold the CS until every granted client releases,
-                   closes, or the lease sweeper kills its session.
-                   Waiting the sessions out one by one is fine: the
-                   hold ends when the slowest is done regardless of
-                   the order we observe the others in. *)
-                List.iter
-                  (fun s ->
-                    Mutex.lock s.smu;
-                    while s.s_alive && List.mem_assoc lq.lq_lock s.s_held do
-                      Condition.wait s.scond s.smu
-                    done;
-                    if List.mem_assoc lq.lq_lock s.s_held then
-                      (* Expiry path: strip the hold ourselves. *)
-                      s.s_held <- List.remove_assoc lq.lq_lock s.s_held;
-                    Mutex.unlock s.smu)
-                  granted;
-                true
-              end
-        end
+              List.iter
+                (fun w ->
+                  let s = w.w_sess in
+                  w.w_pending <- false;
+                  s.s_inflight <- max 0 (s.s_inflight - 1);
+                  s.s_held <- (lq.lq_lock, fencing) :: s.s_held;
+                  t.counts <- { t.counts with granted = t.counts.granted + 1 };
+                  incr_counter lq.lq_grants;
+                  set_gauge lq.lq_fencing (float_of_int fencing);
+                  trace t "session.grant"
+                    [
+                      ("sid", s.sid);
+                      ("lock", lq.lq_lock);
+                      ("fencing", string_of_int fencing);
+                      ("mode", mode_label);
+                    ];
+                  match s.sconn with
+                  | Some c ->
+                      send_resp t c
+                        (WC.Granted
+                           { rid = w.w_rid; lock = lq.lq_lock; fencing })
+                  | None -> ())
+                batch;
+              lq.lq_holders <- List.map (fun w -> w.w_sess) batch;
+              true)
+    in
+    if not served then release_node t lq
 
-  let pending_exists lq =
-    List.exists (fun w -> w.w_pending) lq.lq_waiters
+  (* [s] no longer holds [lock] (release, close or expiry). *)
+  let leave t s lock =
+    let lq = Hashtbl.find t.locks lock in
+    if List.memq s lq.lq_holders then begin
+      lq.lq_holders <- List.filter (fun h -> h != s) lq.lq_holders;
+      if lq.lq_holders = [] then release_node t lq
+    end
 
-  let pump t lq =
-    while not t.stopping do
-      Mutex.lock lq.lq_mu;
-      while (not t.stopping) && not (pending_exists lq) do
-        Condition.wait lq.lq_cond lq.lq_mu
-      done;
-      let horizon =
-        List.fold_left
-          (fun acc w -> if w.w_pending then Float.max acc w.w_deadline else acc)
-          0. lq.lq_waiters
-      in
-      (* Acquire in the head waiter's mode: a shared head pulls its
-         whole run of fellow readers in with it, an exclusive head is
-         served alone. *)
-      let mode =
-        match List.find_opt (fun w -> w.w_pending) lq.lq_waiters with
-        | Some w -> w.w_mode
-        | None -> Dmutex.Types.Exclusive
-      in
-      Mutex.unlock lq.lq_mu;
-      if not t.stopping then begin
-        let timeout = Float.max 0.05 (horizon -. now ()) in
-        match
-          Node.with_lock ~timeout ~lock:lq.lq_lock ~mode t.node
-            (serve t lq mode)
-        with
-        | Some _ -> ()
-        | None ->
-            (* Grant never arrived inside the horizon; the sweeper (or
-               the next pop) times the waiters out individually. *)
-            ()
-      end
-    done
+  (* The session is over: its grants go back to the node and its
+     queued acquires are cancelled. *)
+  let end_session t s =
+    s.sconn <- None;
+    cancel_waiters t s;
+    let held = s.s_held in
+    s.s_held <- [];
+    Hashtbl.remove t.sessions s.sid;
+    set_gauge t.g_sessions (float_of_int (Hashtbl.length t.sessions));
+    List.iter (fun (lock, _) -> leave t s lock) held
+
+  (* Expire a session: lease ran out (attached: the client stalled;
+     detached: the grace window closed) or the node is shutting down.
+     The fencing token the client still has is stale by construction
+     once the node releases the grant. *)
+  let expire_session t s ~reason =
+    if Hashtbl.mem t.sessions s.sid then begin
+      let conn = s.sconn in
+      end_session t s;
+      t.counts <- { t.counts with expired = t.counts.expired + 1 };
+      incr_counter t.c_expiries;
+      trace t ~severity:Obs.Events.Warn "session.expire"
+        [ ("sid", s.sid); ("reason", reason) ];
+      match conn with
+      | None -> ()
+      | Some c ->
+          send_resp t c (WC.Session_lost { rid = 0; reason });
+          drop_conn t c
+    end
 
   (* ---------------------------------------------------------------- *)
-  (* Request dispatch (per-connection reader thread) *)
+  (* Request dispatch *)
 
   let renew_lease s =
     s.s_deadline <- now () +. (float_of_int s.s_lease_ms /. 1000.)
 
-  let handle_open t conn attached ~rid ~lease_ms ~resume =
+  let opened t c ~rid s ~resumed =
+    c.attached <- Some s;
+    send_resp t c
+      (WC.Session_opened
+         {
+           rid;
+           sid = s.sid;
+           lease_ms = s.s_lease_ms;
+           grace_ms = t.grace_ms;
+           resumed;
+           held = s.s_held;
+         })
+
+  let handle_open t c ~rid ~lease_ms ~resume =
     let lease_ms = if lease_ms <= 0 then t.lease_ms else lease_ms in
     match resume with
     | Some sid -> (
-        let s =
-          Mutex.lock t.mu;
-          let s = Hashtbl.find_opt t.sessions sid in
-          Mutex.unlock t.mu;
-          s
-        in
-        match s with
-        | Some s when s.s_alive ->
-            Mutex.lock s.smu;
+        match Hashtbl.find_opt t.sessions sid with
+        | Some s ->
             (match s.sconn with
-            | Some old when old != conn -> close_conn old
+            | Some old when old != c -> drop_conn t old
             | _ -> ());
-            s.sconn <- Some conn;
+            s.sconn <- Some c;
             renew_lease s;
-            let held = s.s_held in
-            Mutex.unlock s.smu;
-            attached := Some s;
-            Mutex.lock t.mu;
-            t.n_resumed <- t.n_resumed + 1;
-            Mutex.unlock t.mu;
+            t.counts <- { t.counts with resumed = t.counts.resumed + 1 };
             incr_counter t.c_resumes;
             trace t "session.resume" [ ("sid", s.sid) ];
-            send_resp conn
-              (WC.Session_opened
-                 {
-                   rid;
-                   sid = s.sid;
-                   lease_ms = s.s_lease_ms;
-                   grace_ms = t.grace_ms;
-                   resumed = true;
-                   held;
-                 })
-        | _ ->
-            send_resp conn
+            opened t c ~rid s ~resumed:true
+        | None ->
+            send_resp t c
               (WC.Session_lost
                  { rid; reason = "unknown or expired session " ^ sid }))
     | None ->
-        let admitted =
-          Mutex.lock t.mu;
-          let ok = live_sessions t < t.max_sessions in
+        if Hashtbl.length t.sessions < t.max_sessions then begin
           let s =
-            if ok then begin
-              let sid = fresh_sid t in
-              let s =
-                {
-                  sid;
-                  s_lease_ms = lease_ms;
-                  smu = Mutex.create ();
-                  scond = Condition.create ();
-                  sconn = Some conn;
-                  s_deadline = now () +. (float_of_int lease_ms /. 1000.);
-                  s_alive = true;
-                  s_held = [];
-                  s_inflight = 0;
-                }
-              in
-              Hashtbl.replace t.sessions sid s;
-              t.n_opened <- t.n_opened + 1;
-              set_gauge t.g_sessions (float_of_int (live_sessions t));
-              Some s
-            end
-            else None
+            {
+              sid = fresh_sid t;
+              s_lease_ms = lease_ms;
+              sconn = Some c;
+              s_deadline = now () +. (float_of_int lease_ms /. 1000.);
+              s_held = [];
+              s_inflight = 0;
+            }
           in
-          Mutex.unlock t.mu;
-          s
-        in
-        (match admitted with
-        | Some s ->
-            attached := Some s;
-            incr_counter t.c_opened;
-            trace t "session.open" [ ("sid", s.sid) ];
-            send_resp conn
-              (WC.Session_opened
-                 {
-                   rid;
-                   sid = s.sid;
-                   lease_ms;
-                   grace_ms = t.grace_ms;
-                   resumed = false;
-                   held = [];
-                 })
-        | None ->
-            (* Admission control: shed load with an explicit
-               retry-after instead of queueing unboundedly. *)
-            reject t conn ~rid WC.Session_limit
-              ~retry_after_ms:(t.lease_ms / 2))
+          Hashtbl.replace t.sessions s.sid s;
+          t.counts <- { t.counts with opened = t.counts.opened + 1 };
+          set_gauge t.g_sessions (float_of_int (Hashtbl.length t.sessions));
+          incr_counter t.c_opened;
+          trace t "session.open" [ ("sid", s.sid) ];
+          opened t c ~rid s ~resumed:false
+        end
+        else
+          (* Admission control: shed load with an explicit retry-after
+             instead of queueing unboundedly. *)
+          reject t c ~rid WC.Session_limit ~retry_after_ms:(t.lease_ms / 2)
 
-  let handle_acquire t conn s ~rid ~lock ~timeout_ms ~try_only ~shared =
-    Mutex.lock s.smu;
+  let handle_acquire t c s ~rid ~lock ~timeout_ms ~try_only ~shared =
     renew_lease s;
-    let already = List.mem_assoc lock s.s_held in
-    let inflight = s.s_inflight in
-    Mutex.unlock s.smu;
     match Hashtbl.find_opt t.locks lock with
-    | None -> reject t conn ~rid WC.Unknown_lock ~retry_after_ms:0
-    | Some _ when already -> reject t conn ~rid WC.Already_held ~retry_after_ms:0
-    | Some _ when inflight >= t.max_inflight ->
-        reject t conn ~rid WC.Queue_full ~retry_after_ms:(t.lease_ms / 4)
+    | None -> reject t c ~rid WC.Unknown_lock ~retry_after_ms:0
+    | Some _ when List.mem_assoc lock s.s_held ->
+        reject t c ~rid WC.Already_held ~retry_after_ms:0
+    | Some _ when s.s_inflight >= t.max_inflight ->
+        reject t c ~rid WC.Queue_full ~retry_after_ms:(t.lease_ms / 4)
     | Some lq ->
-        let timeout_ms =
-          if timeout_ms > 0 then timeout_ms else if try_only then 1_000
-          else 30_000
-        in
-        let w =
-          {
-            w_rid = rid;
-            w_sess = s;
-            w_mode =
-              (if shared then Dmutex.Types.Shared else Dmutex.Types.Exclusive);
-            w_deadline = now () +. (float_of_int timeout_ms /. 1000.);
-            w_pending = true;
-          }
-        in
-        Mutex.lock lq.lq_mu;
         let depth =
           List.length (List.filter (fun w -> w.w_pending) lq.lq_waiters)
         in
-        if depth >= t.max_waiters then begin
-          Mutex.unlock lq.lq_mu;
-          reject t conn ~rid WC.Queue_full ~retry_after_ms:(t.lease_ms / 4)
-        end
+        if depth >= t.max_waiters then
+          reject t c ~rid WC.Queue_full ~retry_after_ms:(t.lease_ms / 4)
         else begin
+          let timeout_ms =
+            if timeout_ms > 0 then timeout_ms else if try_only then 1_000
+            else 30_000
+          in
+          let w =
+            {
+              w_rid = rid;
+              w_sess = s;
+              w_mode =
+                (if shared then Dmutex.Types.Shared else Dmutex.Types.Exclusive);
+              w_deadline = now () +. (float_of_int timeout_ms /. 1000.);
+              w_pending = true;
+            }
+          in
           lq.lq_waiters <- lq.lq_waiters @ [ w ];
           set_gauge lq.lq_depth (float_of_int (depth + 1));
-          Condition.signal lq.lq_cond;
-          Mutex.unlock lq.lq_mu;
-          Mutex.lock s.smu;
           s.s_inflight <- s.s_inflight + 1;
-          Mutex.unlock s.smu
+          maybe_request t lq
         end
 
-  let handle_release t conn s ~rid ~lock =
-    Mutex.lock s.smu;
+  (* Replies go out before the node releases, so the client is not
+     kept waiting on the protocol step. *)
+  let handle_release t c s ~rid ~lock =
     renew_lease s;
-    let held = List.mem_assoc lock s.s_held in
-    if held then begin
+    if List.mem_assoc lock s.s_held then begin
       s.s_held <- List.remove_assoc lock s.s_held;
-      Condition.broadcast s.scond
-    end;
-    Mutex.unlock s.smu;
-    if held then send_resp conn (WC.Released { rid; lock })
-    else reject t conn ~rid WC.Not_held ~retry_after_ms:0
+      send_resp t c (WC.Released { rid; lock });
+      leave t s lock
+    end
+    else reject t c ~rid WC.Not_held ~retry_after_ms:0
 
-  let handle_close t conn s ~rid attached =
-    cancel_waiters t s;
-    Mutex.lock s.smu;
-    s.s_alive <- false;
-    s.s_held <- [];
-    s.sconn <- None;
-    Condition.broadcast s.scond;
-    Mutex.unlock s.smu;
-    Mutex.lock t.mu;
-    Hashtbl.remove t.sessions s.sid;
-    set_gauge t.g_sessions (float_of_int (live_sessions t));
-    Mutex.unlock t.mu;
-    attached := None;
+  let handle_close t c s ~rid =
+    c.attached <- None;
     trace t "session.close" [ ("sid", s.sid) ];
-    send_resp conn (WC.Closed { rid })
+    send_resp t c (WC.Closed { rid });
+    end_session t s
 
   (* Session-scoped requests: no session on this connection is a
-     protocol error; a session the sweeper already expired gets a loud
-     [Session_lost] — a renewal racing its own expiry must lose
-     visibly, never silently revive. *)
-  let with_session t conn attached ~rid f =
-    match !attached with
-    | None -> reject t conn ~rid WC.Bad_request ~retry_after_ms:0
-    | Some s when not s.s_alive ->
-        attached := None;
-        send_resp conn (WC.Session_lost { rid; reason = "session expired" })
+     protocol error. Expiry closes the session's connection after its
+     [Session_lost], so a renewal racing its own expiry is never read:
+     it loses visibly and never revives the session. *)
+  let with_session t c ~rid f =
+    match c.attached with
+    | None -> reject t c ~rid WC.Bad_request ~retry_after_ms:0
     | Some s -> f s
 
-  let dispatch t conn attached req =
+  let dispatch t c req =
     match req with
     | WC.Hello { rid } ->
-        send_resp conn
+        send_resp t c
           (WC.Hello_ok { rid; node = Node.id t.node; proto = WC.version })
     | WC.Open_session { rid; lease_ms; resume } ->
-        handle_open t conn attached ~rid ~lease_ms ~resume
+        handle_open t c ~rid ~lease_ms ~resume
     | WC.Acquire { rid; lock; timeout_ms; try_only; shared } ->
-        with_session t conn attached ~rid (fun s ->
-            handle_acquire t conn s ~rid ~lock ~timeout_ms ~try_only ~shared)
+        with_session t c ~rid (fun s ->
+            handle_acquire t c s ~rid ~lock ~timeout_ms ~try_only ~shared)
     | WC.Release { rid; lock } ->
-        with_session t conn attached ~rid (fun s ->
-            handle_release t conn s ~rid ~lock)
+        with_session t c ~rid (fun s -> handle_release t c s ~rid ~lock)
     | WC.Renew { rid } ->
-        with_session t conn attached ~rid (fun s ->
-            Mutex.lock s.smu;
+        with_session t c ~rid (fun s ->
             renew_lease s;
-            Mutex.unlock s.smu;
-            send_resp conn (WC.Renewed { rid; lease_ms = s.s_lease_ms }))
+            send_resp t c (WC.Renewed { rid; lease_ms = s.s_lease_ms }))
     | WC.Close { rid } ->
-        with_session t conn attached ~rid (fun s ->
-            handle_close t conn s ~rid attached)
+        with_session t c ~rid (fun s -> handle_close t c s ~rid)
 
-  (* A connection died (EOF, error, or we closed it). Detach its
-     session: the session survives until the grace deadline so the
-     client can fail over and resume by sid; its queued acquires are
-     cancelled (the client re-issues them after resuming), and its
-     held grants stay held — release still belongs to the client until
-     the lease/grace runs out. *)
-  let detach t conn s =
-    cancel_waiters t s;
-    Mutex.lock s.smu;
-    (match s.sconn with
-    | Some c when c == conn ->
-        s.sconn <- None;
-        s.s_deadline <- now () +. (float_of_int t.grace_ms /. 1000.)
-    | _ -> () (* already re-attached elsewhere *));
-    Mutex.unlock s.smu;
-    trace t "session.detach" [ ("sid", s.sid) ]
+  let malformed t c m =
+    trace t ~severity:Obs.Events.Warn "session.malformed" [ ("error", m) ];
+    send_resp t c
+      (WC.Session_lost { rid = 0; reason = "malformed request: " ^ m });
+    drop_conn t c
 
-  let serve_conn t conn =
-    let attached = ref None in
+  let conn_ready t c ~readable ~writable =
+    let serve body = if c.c_open then dispatch t c (WC.decode_request body) in
+    try
+      if writable then flush_conn t c;
+      if readable && c.c_open && not (Session_frame.input c.st serve) then
+        drop_conn t c
+    with
+    | Wire.Malformed m -> malformed t c m
+    | Unix.Unix_error _ -> drop_conn t c
+    | e ->
+        Log.err (fun m ->
+            m "session request failed: %s" (Printexc.to_string e));
+        drop_conn t c
+
+  (* A connection over the cap, or one the loop could not select on,
+     is shed like an over-cap session: an explicit [Rejected], then
+     closed. The reply fits an empty socket buffer, so the blocking
+     write returns at once. *)
+  let refuse t fd =
+    count_rejection t WC.Session_limit;
     (try
-       while conn.wopen && not t.stopping do
-         let body = Session_frame.recv conn.fd in
-         match WC.decode_request body with
-         | req -> dispatch t conn attached req
-         | exception Wire.Malformed m ->
-             trace t ~severity:Obs.Events.Warn "session.malformed"
-               [ ("error", m) ];
-             send_resp conn
-               (WC.Session_lost { rid = 0; reason = "malformed request: " ^ m });
-             raise Exit
-       done
-     with _ -> ());
-    close_conn conn;
-    (try Unix.close conn.fd with _ -> ());
-    match !attached with None -> () | Some s -> detach t conn s
+       Session_frame.send fd
+         (WC.encode_response
+            (WC.Rejected
+               { rid = 0; reason = WC.Session_limit;
+                 retry_after_ms = t.lease_ms / 2 }))
+     with Unix.Unix_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
 
-  (* ---------------------------------------------------------------- *)
-  (* Background threads *)
-
-  let accept_loop t =
-    while not t.stopping do
-      match Unix.accept t.sock with
-      | fd, _ ->
+  let rec accept_all t =
+    match Unix.accept t.sock with
+    | fd, _ ->
+        if Hashtbl.length t.conns >= t.max_sessions + conn_slack
+           || fd_index fd >= select_limit
+        then refuse t fd
+        else begin
           Unix.setsockopt fd Unix.TCP_NODELAY true;
-          (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0 with _ -> ());
-          let conn = { fd; wmu = Mutex.create (); wopen = true } in
-          ignore (Thread.create (serve_conn t) conn)
-      | exception _ -> if not t.stopping then Thread.delay 0.05
-    done
-
-  let sweep t =
-    while not t.stopping do
-      Thread.delay 0.05;
-      let t_now = now () in
-      (* Lease / grace expiries. *)
-      let expired =
-        Mutex.lock t.mu;
-        let es =
-          Hashtbl.fold
-            (fun _ s acc ->
-              if s.s_alive && t_now > s.s_deadline then s :: acc else acc)
-            t.sessions []
-        in
-        Mutex.unlock t.mu;
-        es
-      in
-      List.iter (fun s -> expire_session t s ~reason:"lease expired") expired;
-      (* Queued acquires past their deadline get a prompt, explicit
-         timeout even while the pump is blocked waiting for a grant. *)
-      Hashtbl.iter
-        (fun _ lq ->
-          let timed_out =
-            Mutex.lock lq.lq_mu;
-            let ws =
-              List.filter
-                (fun w -> w.w_pending && t_now > w.w_deadline)
-                lq.lq_waiters
-            in
-            List.iter (fun w -> w.w_pending <- false) ws;
-            lq.lq_waiters <-
-              List.filter (fun w -> w.w_pending) lq.lq_waiters;
-            set_gauge lq.lq_depth (float_of_int (List.length lq.lq_waiters));
-            Mutex.unlock lq.lq_mu;
-            ws
+          let c =
+            { fd; st = Session_frame.stream fd; attached = None; c_open = true }
           in
+          Hashtbl.replace t.conns fd c;
+          Reactor.add t.loop fd ~read:true ~write:false (conn_ready t c)
+        end;
+        accept_all t
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        (* Out of descriptors: the connection stays in the backlog and
+           the socket stays readable. Stop listening until the next
+           sweep instead of spinning on it. *)
+        t.accept_paused <- true;
+        Reactor.modify t.loop t.sock ~read:false ~write:false
+    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_all t
+    | exception Unix.Unix_error _ -> ()
+
+  (* Lease / grace expiries, then queued acquires past their deadline:
+     a prompt, explicit timeout even while the node request is still
+     outstanding, which is asked again if newer waiters remain. *)
+  let sweep t t_now =
+    if t.accept_paused then begin
+      t.accept_paused <- false;
+      Reactor.modify t.loop t.sock ~read:true ~write:false
+    end;
+    Hashtbl.fold
+      (fun _ s acc -> if t_now > s.s_deadline then s :: acc else acc)
+      t.sessions []
+    |> List.iter (fun s -> expire_session t s ~reason:"lease expired");
+    Hashtbl.iter
+      (fun _ lq ->
+        if lq.lq_waiters <> [] then begin
           List.iter
-            (fun w ->
-              Mutex.lock w.w_sess.smu;
-              w.w_sess.s_inflight <- max 0 (w.w_sess.s_inflight - 1);
-              let conn = w.w_sess.sconn in
-              Mutex.unlock w.w_sess.smu;
-              match conn with
-              | Some conn ->
-                  reject t conn ~rid:w.w_rid WC.Lock_timeout ~retry_after_ms:0
-              | None -> ())
-            timed_out)
-        t.locks
-    done
+            (fun w -> if w.w_pending && t_now > w.w_deadline then time_out t w)
+            lq.lq_waiters;
+          lq.lq_waiters <- List.filter (fun w -> w.w_pending) lq.lq_waiters;
+          set_gauge lq.lq_depth (float_of_int (List.length lq.lq_waiters));
+          if lq.lq_requests = 1 && t_now > lq.lq_horizon then request t lq
+        end)
+      t.locks
+
+  let tick t t_now =
+    if t_now >= t.next_sweep then begin
+      t.next_sweep <- t_now +. sweep_period;
+      guarded "sweep" (fun () -> sweep t t_now)
+    end;
+    Some t.next_sweep
+
+  (* Called once [closed] is set. A grant callback that read it unset
+     runs under its instance's mutex, which [Node.holding] takes (its
+     documented contract): once this returns, every such callback has
+     posted its thunk. *)
+  let await_grant_callbacks t =
+    List.iter
+      (fun lock -> ignore (Node.holding ~lock t.node))
+      (Node.locks t.node)
+
+  (* On the loop thread, once [closed] is set: tell every attached
+     client loudly before the sockets vanish, so failover starts now
+     rather than on a TCP timeout, and give every held grant back. *)
+  let teardown t =
+    Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
+    |> List.iter (fun s ->
+           guarded "shutdown" (fun () ->
+               expire_session t s ~reason:"node shutting down"));
+    Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+    |> List.iter (drop_conn t);
+    Reactor.remove t.loop t.sock;
+    try Unix.close t.sock with Unix.Unix_error _ -> ()
+
+  (* The loop thread. [Reactor.run] returns on [shutdown]'s stop, or
+     when the loop itself fails; then the server closes here, so later
+     grants are declined and the ones already posted release. Thunks
+     the loop left queued run last (a failing loop can leave
+     [shutdown]'s teardown among them). *)
+  let serve t () =
+    Reactor.run t.loop;
+    let failed = not (Atomic.exchange t.closed true) in
+    if failed then begin
+      Log.err (fun m -> m "session loop stopped; closing the server");
+      await_grant_callbacks t
+    end;
+    Reactor.run_posts t.loop;
+    if failed then guarded "teardown" (fun () -> teardown t)
 
   (* ---------------------------------------------------------------- *)
 
@@ -711,7 +690,8 @@ struct
        Unix.bind sock
          (Unix.ADDR_INET
             (Unix.inet_addr_of_string addr.Transport.host, addr.Transport.port));
-       Unix.listen sock 128
+       Unix.listen sock 128;
+       Unix.set_nonblock sock
      with e ->
        (try Unix.close sock with _ -> ());
        raise e);
@@ -720,50 +700,27 @@ struct
       | Unix.ADDR_INET (_, p) -> p
       | _ -> addr.Transport.port
     in
-    let seed =
-      match seed with
-      | Some s -> s
-      | None ->
-          (int_of_float (Unix.gettimeofday () *. 1e6) lxor Unix.getpid ())
-          land max_int
+    let ghandle ?labels name =
+      Option.map (fun reg -> Obs.Registry.Gauge.get reg ?labels name) obs
     in
-    let ghandle name =
-      Option.map (fun reg -> Obs.Registry.Gauge.get reg name) obs
-    in
-    let chandle name =
-      Option.map (fun reg -> Obs.Registry.Counter.get reg name) obs
+    let chandle ?labels name =
+      Option.map (fun reg -> Obs.Registry.Counter.get reg ?labels name) obs
     in
     let locks = Hashtbl.create 16 in
     List.iter
       (fun lock ->
+        let labels = Obs.Names.lock_label lock in
         Hashtbl.replace locks lock
           {
             lq_lock = lock;
-            lq_mu = Mutex.create ();
-            lq_cond = Condition.create ();
             lq_waiters = [];
+            lq_requests = 0;
+            lq_horizon = 0.;
+            lq_holders = [];
             lq_last_fencing = -1;
-            lq_grants =
-              Option.map
-                (fun reg ->
-                  Obs.Registry.Counter.get reg
-                    ~labels:(Obs.Names.lock_label lock)
-                    Obs.Names.client_grants_total)
-                obs;
-            lq_fencing =
-              Option.map
-                (fun reg ->
-                  Obs.Registry.Gauge.get reg
-                    ~labels:(Obs.Names.lock_label lock)
-                    Obs.Names.client_fencing)
-                obs;
-            lq_depth =
-              Option.map
-                (fun reg ->
-                  Obs.Registry.Gauge.get reg
-                    ~labels:(Obs.Names.lock_label lock)
-                    Obs.Names.client_waiters)
-                obs;
+            lq_grants = chandle ~labels Obs.Names.client_grants_total;
+            lq_fencing = ghandle ~labels Obs.Names.client_fencing;
+            lq_depth = ghandle ~labels Obs.Names.client_waiters;
           })
       (Node.locks node);
     let t =
@@ -775,21 +732,23 @@ struct
         max_sessions;
         max_waiters;
         max_inflight;
-        mu = Mutex.create ();
+        loop = Reactor.create ();
+        thread = None;
+        closed = Atomic.make false;
         sessions = Hashtbl.create 64;
         locks;
-        rng = Random.State.make [| seed; 0x5e55 |];
+        conns = Hashtbl.create 64;
+        rng =
+          (match seed with
+          | Some s -> Random.State.make [| s; 0x5e55 |]
+          | None -> Random.State.make_self_init ());
         sock;
         port;
-        stopping = false;
-        accept_thread = None;
-        sweep_thread = None;
-        n_opened = 0;
-        n_resumed = 0;
-        n_expired = 0;
-        n_granted = 0;
-        n_rejected = 0;
-        n_stale = 0;
+        next_sweep = 0.0;
+        accept_paused = false;
+        counts =
+          { opened = 0; resumed = 0; expired = 0; granted = 0; rejected = 0;
+            stale_grants = 0 };
         obs;
         g_sessions = ghandle Obs.Names.client_sessions;
         c_opened = chandle Obs.Names.client_sessions_opened_total;
@@ -799,60 +758,29 @@ struct
         trace = trace_sink;
       }
     in
-    Hashtbl.iter (fun _ lq -> ignore (Thread.create (pump t) lq)) locks;
-    t.accept_thread <- Some (Thread.create accept_loop t);
-    t.sweep_thread <- Some (Thread.create sweep t);
+    Reactor.add t.loop sock ~read:true ~write:false
+      (fun ~readable:_ ~writable:_ -> guarded "accept" (fun () -> accept_all t));
+    Reactor.set_tick t.loop (tick t);
+    t.thread <- Some (Thread.create (serve t) ());
     t
 
   let port t = t.port
-  let sessions t = Mutex.lock t.mu; let n = live_sessions t in Mutex.unlock t.mu; n
+  let sessions t = Hashtbl.length t.sessions
 
-  let stats t =
-    Mutex.lock t.mu;
-    let s =
-      {
-        opened = t.n_opened;
-        resumed = t.n_resumed;
-        expired = t.n_expired;
-        granted = t.n_granted;
-        rejected = t.n_rejected;
-        stale_grants = t.n_stale;
-      }
-    in
-    Mutex.unlock t.mu;
-    s
+  let stats t = t.counts
 
   let last_fencing t ~lock =
     match Hashtbl.find_opt t.locks lock with
-    | None -> None
-    | Some lq ->
-        Mutex.lock lq.lq_mu;
-        let f = lq.lq_last_fencing in
-        Mutex.unlock lq.lq_mu;
-        if f < 0 then None else Some f
+    | Some lq when lq.lq_last_fencing >= 0 -> Some lq.lq_last_fencing
+    | _ -> None
 
   let shutdown t =
-    if not t.stopping then begin
-      t.stopping <- true;
-      (* Tell every attached client loudly before the sockets vanish,
-         so failover starts now rather than on a TCP timeout. *)
-      let sessions =
-        Mutex.lock t.mu;
-        let ss = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-        Mutex.unlock t.mu;
-        ss
-      in
-      List.iter (fun s -> expire_session t s ~reason:"node shutting down")
-        sessions;
-      Hashtbl.iter
-        (fun _ lq ->
-          Mutex.lock lq.lq_mu;
-          Condition.broadcast lq.lq_cond;
-          Mutex.unlock lq.lq_mu)
-        t.locks;
-      (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with _ -> ());
-      (try Unix.close t.sock with _ -> ());
-      (match t.sweep_thread with Some th -> Thread.join th | None -> ());
-      match t.accept_thread with Some th -> Thread.join th | None -> ()
-    end
+    if not (Atomic.exchange t.closed true) then begin
+      (* Every grant thunk is posted ahead of the stop, which the loop
+         therefore never outruns. *)
+      await_grant_callbacks t;
+      Reactor.post t.loop (fun () -> guarded "teardown" (fun () -> teardown t));
+      Reactor.stop t.loop
+    end;
+    Option.iter Thread.join t.thread
 end

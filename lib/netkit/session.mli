@@ -5,19 +5,26 @@
     The paper makes every participant a full Q-list node; at "millions
     of users" scale that is untenable, so M ≫ N clients connect here
     over the {!Wire.Client} request/response protocol and the node
-    enters the critical section on their behalf — one {e pump} thread
-    per lock drives {!Node_runner}'s [with_lock] (reusing its timeout
-    and abandoned-grant draining) and holds the CS while the granted
-    clients run: exactly one for an exclusive acquire, or the whole
-    leading run of shared waiters at once for read acquires — the
-    session-layer face of the protocol's reader batches, all members
-    carrying the same fencing token.
+    enters the critical section on their behalf.
+
+    One {!Reactor} loop on one system thread owns a server's state:
+    the listening socket, every connection (non-blocking, framed by
+    {!Session_frame}), every lease and every lock's wait queue. It
+    keeps one [Node.acquire ~granted] request outstanding per lock
+    (made once more if every waiter it was made for times out first);
+    the grant callback posts the post-grant state to the loop,
+    which derives the fencing token and grants one exclusive waiter,
+    or the whole leading run of shared waiters under one token (the
+    protocol's reader batch, seen from the session layer). The node
+    releases when the batch's last holder releases, closes or expires.
+    Client requests run their protocol steps, store fsync included,
+    on the loop thread.
 
     Robustness invariants:
 
     - {b Leases.} A session must renew (any request renews; [Renew]
       exists for idle holders) within [lease_ms] or it is expired: its
-      held grants are drained (the pump releases the distributed
+      held grants are drained (the node releases the distributed
       lock), its queued acquires are cancelled, and its connection
       gets an unsolicited [Session_lost]. A stalled or dead client can
       delay a lock by at most one lease.
@@ -35,9 +42,14 @@
       its grant state. Past the window the session is gone — loudly.
     - {b Load shedding.} Admission control caps live sessions
       ([max_sessions]), each lock's wait queue ([max_waiters]) and
-      each session's in-flight acquires ([max_inflight]); every
-      refusal is an explicit [Rejected] with a retry-after hint. No
-      request is ever silently dropped. *)
+      each session's in-flight acquires ([max_inflight]) and
+      connections ([max_sessions] + 16, and none the loop could not
+      select on: a descriptor at or past FD_SETSIZE); every refusal is
+      an explicit [Rejected] with a retry-after hint. No request is
+      ever silently dropped. A malformed frame gets
+      [Session_lost] and a close; a client that leaves over
+      {!Session_frame.max_frame} bytes of replies unread is closed.
+      Either way its session is detached, not expired. *)
 
 module Make
     (A : Dmutex.Types.ALGO)
@@ -54,7 +66,8 @@ module Make
     rejected : int;  (** Explicit [Rejected] replies of any reason. *)
     stale_grants : int;
         (** Grants dropped because no genuine fencing token could be
-            derived — retried, never issued. *)
+            derived (or it did not exceed the last one issued) —
+            released and retried, never issued. *)
   }
 
   val create :
@@ -85,7 +98,8 @@ module Make
   (** The actually bound TCP port. *)
 
   val sessions : t -> int
-  (** Live sessions right now (attached + in-grace detached). *)
+  (** Live sessions right now (attached + in-grace detached). Like
+      {!stats} and {!last_fencing}, read without stopping the loop. *)
 
   val stats : t -> stats
 
@@ -96,7 +110,9 @@ module Make
   val shutdown : t -> unit
   (** Stop accepting, expire every session (each attached client gets
       an unsolicited [Session_lost] so failover starts immediately),
-      and join the service threads. Pump threads exit once the
-      underlying node stops granting — shut the node down after this.
-      Idempotent. *)
+      release every grant the node holds for a session, and join the
+      loop thread. A grant still in flight is declined when it lands,
+      and the node releases it at once. Shut the node down after this.
+      Idempotent. A loop that fails closes the server the same way on
+      its own; [shutdown] then only joins its thread. *)
 end

@@ -82,18 +82,20 @@ let recv_msg fd =
    or a deliberate break). Pending calls fail — their callers decide
    whether to retry on a fresh connection. The fd itself is closed
    here unless another thread is mid-read on it, in which case that
-   thread closes it when it surfaces. *)
+   thread closes it when it surfaces. Only the first call for an fd
+   acts: a second (a writer and the reader both failing on it) would
+   close the number again, by then perhaps another file's. *)
 let conn_down t fd reason =
   ignore reason;
   Mutex.lock t.mu;
   if t.fd = Some fd then begin
     t.fd <- None;
     Hashtbl.iter (fun _ p -> p.pfail <- true) t.pending;
-    Condition.broadcast t.cv
+    Condition.broadcast t.cv;
+    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
+    if t.rfd = Some fd then t.dead <- fd :: t.dead
+    else (try Unix.close fd with _ -> ())
   end;
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
-  if t.rfd = Some fd then t.dead <- fd :: t.dead
-  else (try Unix.close fd with _ -> ());
   Mutex.unlock t.mu
 
 (* One TCP connect + hello + open/resume handshake against [ep].

@@ -1307,12 +1307,23 @@ module WC = Wire.Client
    the newest entry is stale (it lost its lease or its node) and must
    not do the protected work; a newer token may fence off a stale
    occupant's residue. Raw overlap with ordered-token entry intact is
-   counted as a violation. *)
+   counted as a violation. Each violation keeps the offending entry
+   and the one before it for the failure message. *)
 module Fenced_witness = struct
+  type entry = {
+    fencing : int;
+    sid : string;
+    node : int;  (** the server that issued the token; -1 if unknown *)
+    at : float;  (** seconds since the witness was created *)
+  }
+
   type t = {
     path : string;
     mu : Mutex.t;
+    t0 : float;
     mutable entered : int list;  (* newest first; chronological CS order *)
+    mutable last : entry option;  (* the newest entry *)
+    mutable offenders : (entry * entry option) list;  (* newest first *)
     mutable violations : int;
     mutable takeovers : int;
     mutable stale_self : int;
@@ -1327,22 +1338,32 @@ module Fenced_witness = struct
     {
       path;
       mu = Mutex.create ();
+      t0 = Unix.gettimeofday ();
       entered = [];
+      last = None;
+      offenders = [];
       violations = 0;
       takeovers = 0;
       stale_self = 0;
     }
 
+  (* Must be called with [t.mu] held. *)
+  let offend t e =
+    t.violations <- t.violations + 1;
+    t.offenders <- (e, t.last) :: t.offenders
+
   (* Returns whether we own the witness (and so must [leave]). *)
-  let rec enter ?(attempt = 0) t ~fencing =
+  let rec enter ?(attempt = 0) t ~fencing ~sid ~node =
+    let e = { fencing; sid; node; at = Unix.gettimeofday () -. t.t0 } in
     match Unix.openfile t.path [ O_CREAT; O_EXCL; O_WRONLY ] 0o600 with
     | fd ->
         Unix.close fd;
         Mutex.lock t.mu;
         (match t.entered with
-        | last :: _ when fencing <= last -> t.violations <- t.violations + 1
+        | last :: _ when fencing <= last -> offend t e
         | _ -> ());
         t.entered <- fencing :: t.entered;
+        t.last <- Some e;
         Mutex.unlock t.mu;
         true
     | exception Unix.Unix_error (EEXIST, _, _) ->
@@ -1356,7 +1377,7 @@ module Fenced_witness = struct
           false
         end
         else if attempt >= 3 then begin
-          t.violations <- t.violations + 1;
+          offend t e;
           Mutex.unlock t.mu;
           false
         end
@@ -1365,10 +1386,24 @@ module Fenced_witness = struct
           t.takeovers <- t.takeovers + 1;
           Mutex.unlock t.mu;
           (try Unix.unlink t.path with _ -> ());
-          enter ~attempt:(attempt + 1) t ~fencing
+          enter ~attempt:(attempt + 1) t ~fencing ~sid ~node
         end
 
   let leave t = try Unix.unlink t.path with _ -> ()
+
+  let describe e =
+    Printf.sprintf "fencing %d (session %s, node %d, %.3f s)" e.fencing e.sid
+      e.node e.at
+
+  (* The violations, oldest first, each with its predecessor. *)
+  let report t =
+    String.concat ""
+      (List.rev_map
+         (fun (e, prev) ->
+           Printf.sprintf "\n  %s entered after %s" (describe e)
+             (match prev with Some p -> describe p | None -> "no entry"))
+         t.offenders)
+
   let dispose t = try Unix.unlink t.path with _ -> ()
 end
 
@@ -1416,6 +1451,16 @@ let test_client_soak () =
   let witnesses =
     List.map (fun l -> (l, Fenced_witness.create ("client-soak-" ^ l))) locks
   in
+  (* The server whose latest token for [lock] is [fencing]: the one that
+     issued it, unless it has issued a newer one since. *)
+  let issuer lock fencing =
+    let rec find i =
+      if i >= n then -1
+      else if S.last_fencing servers.(i) ~lock = Some fencing then i
+      else find (i + 1)
+    in
+    find 0
+  in
   let grants = Atomic.make 0 in
   let lost = Atomic.make 0 in
   let failures = Atomic.make 0 in
@@ -1436,7 +1481,11 @@ let test_client_soak () =
       for _ = 1 to rounds do
         (match
            SC.with_lock ~timeout:60.0 ~lock cl (fun ~fencing ->
-               let owned = Fenced_witness.enter witness ~fencing in
+               let owned =
+                 Fenced_witness.enter witness ~fencing
+                   ~sid:(Option.value (SC.session_id cl) ~default:"?")
+                   ~node:(issuer lock fencing)
+               in
                Thread.delay 0.002;
                if owned then Fenced_witness.leave witness)
          with
@@ -1481,12 +1530,15 @@ let test_client_soak () =
   (match craw_rpc stall_fd (WC.Hello { rid = 1 }) with
   | WC.Hello_ok _ -> ()
   | _ -> Alcotest.fail "stalled client hello");
-  (match
-     craw_rpc stall_fd
-       (WC.Open_session { rid = 2; lease_ms; resume = None })
-   with
-  | WC.Session_opened _ -> Atomic.incr sessions_opened
-  | _ -> Alcotest.fail "stalled client open");
+  let stall_sid =
+    match
+      craw_rpc stall_fd (WC.Open_session { rid = 2; lease_ms; resume = None })
+    with
+    | WC.Session_opened { sid; _ } ->
+        Atomic.incr sessions_opened;
+        sid
+    | _ -> Alcotest.fail "stalled client open"
+  in
   Netkit.Session_frame.send stall_fd
     (WC.encode_request
        (WC.Acquire
@@ -1503,7 +1555,7 @@ let test_client_soak () =
         (* Do the protected work promptly, then hold the grant
            forever: the lease must drain it without our help. *)
         let w = List.assoc "cl-1" witnesses in
-        let owned = Fenced_witness.enter w ~fencing in
+        let owned = Fenced_witness.enter w ~fencing ~sid:stall_sid ~node:1 in
         if owned then Fenced_witness.leave w;
         fencing
     | _ -> Alcotest.fail "stalled client grant"
@@ -1559,10 +1611,10 @@ let test_client_soak () =
       List.iter
         (fun (l, w) ->
           Printf.fprintf oc
-            "%s: entries=%d violations=%d takeovers=%d stale_self=%d\n" l
+            "%s: entries=%d violations=%d takeovers=%d stale_self=%d%s\n" l
             (List.length w.Fenced_witness.entered)
             w.Fenced_witness.violations w.Fenced_witness.takeovers
-            w.Fenced_witness.stale_self)
+            w.Fenced_witness.stale_self (Fenced_witness.report w))
         witnesses;
       close_out oc);
   Array.iter S.shutdown servers;
@@ -1574,7 +1626,8 @@ let test_client_soak () =
   List.iter
     (fun (l, w) ->
       Alcotest.(check int)
-        (Printf.sprintf "zero witness violations on %s" l)
+        (Printf.sprintf "zero witness violations on %s%s" l
+           (Fenced_witness.report w))
         0 w.Fenced_witness.violations;
       let chronological = List.rev w.Fenced_witness.entered in
       let rec strictly_up = function

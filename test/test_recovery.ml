@@ -384,6 +384,45 @@ let test_request_arms_lost_token_watchdog () =
   | _ -> Alcotest.fail "expected exactly one WARNING to the arbiter");
   Alcotest.(check bool) "watchdog re-armed" true (armed effs)
 
+let test_restarted_skips_pre_crash_entry () =
+  (* A restarted node handed the token for a request it issued before
+     its crash must not enter the CS for it: that CS would go to the
+     request it parked since, under a token whose epoch it cannot
+     check (the client soak saw such grants carry fencing tokens below
+     ones already issued). The entry is marked served, the token moves
+     on, and the parked request goes out. *)
+  let n = 5 in
+  let cfg = cfg ~n () in
+  let r =
+    { Protocol.r_epoch = 0; r_election = 0; r_enq_round = 0; r_next_seq = 3;
+      r_granted = Qlist.Granted.create n; r_had_token = false; r_view = None }
+  in
+  let st = Protocol.rejoin_restored cfg 0 r in
+  let st, _ = Protocol.handle cfg ~now:1.0 st Types.Request_cs in
+  Alcotest.(check int) "request parked" 1 st.Protocol.pending;
+  let pre_crash = Qlist.entry ~node:0 ~seq:1 () in
+  let token =
+    { Protocol.tq = [ pre_crash; Qlist.entry ~node:2 ~seq:4 () ];
+      granted = Qlist.Granted.create n; epoch = 0; election = 0; vepoch = 0 }
+  in
+  let st, effs =
+    Protocol.handle cfg ~now:2.0 st (Types.Receive (3, Protocol.Privilege token))
+  in
+  Alcotest.(check bool) "no CS for the pre-crash entry" false
+    (List.mem Types.Enter_cs effs || st.Protocol.in_cs);
+  Alcotest.(check bool) "skip is visible" true (has_note "stale-own-entry" effs);
+  (match
+     List.find_map
+       (function 2, Protocol.Privilege tk -> Some tk | _ -> None)
+       (sends effs)
+   with
+  | Some tk ->
+      Alcotest.(check bool) "pre-crash entry marked served" true
+        (Qlist.Granted.already_served tk.Protocol.granted pre_crash)
+  | None -> Alcotest.fail "token not passed to the next requester");
+  Alcotest.(check bool) "parked request issued" true
+    (st.Protocol.pending = 0 && st.Protocol.outstanding <> None)
+
 let test_drill_harness () =
   (* The packaged Section 6 drills must all report resumed service. *)
   let rows = Experiments.table_recovery ~n:10 () in
@@ -421,5 +460,7 @@ let suite =
         test_sync_wait_escape_valve;
       Alcotest.test_case "request arms lost-token watchdog" `Quick
         test_request_arms_lost_token_watchdog;
+      Alcotest.test_case "restarted node skips its pre-crash entry" `Quick
+        test_restarted_skips_pre_crash_entry;
       Alcotest.test_case "packaged drills resume" `Slow test_drill_harness;
     ] )

@@ -85,9 +85,9 @@ let fast_cfg n =
     t_forward = 0.02;
   }
 
-let with_cluster ?(n = 3) ?(locks = [ "apex" ]) ~base_port ?lease_ms ?grace_ms
-    ?max_sessions ?max_waiters f =
-  let cluster = RC.launch ~base_port ~locks (fast_cfg n) in
+let with_cluster ?(n = 3) ?(cfg = fast_cfg n) ?(locks = [ "apex" ]) ~base_port
+    ?lease_ms ?grace_ms ?max_sessions ?max_waiters f =
+  let cluster = RC.launch ~base_port ~locks cfg in
   let servers =
     Array.init n (fun i ->
         S.create ?lease_ms ?grace_ms ?max_sessions ?max_waiters
@@ -540,6 +540,355 @@ let test_rejected_vs_timeout () =
       SC.close a;
       SC.close b)
 
+(* ------------------------------------------------------------------ *)
+(* The server's frame reader and its one event loop *)
+
+let frame req =
+  let m = WC.encode_request req in
+  let b = Bytes.create (4 + String.length m) in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length m));
+  Bytes.blit_string m 0 b 4 (String.length m);
+  b
+
+let write_all fd b = ignore (Unix.write fd b 0 (Bytes.length b))
+
+let test_split_and_coalesced_frames () =
+  with_cluster ~base_port:9221 (fun _cluster _servers addrs ->
+      let fd = raw_connect (List.nth addrs 0) in
+      (* One request dribbled in a byte at a time, header included. *)
+      let hello = frame (WC.Hello { rid = 1 }) in
+      Bytes.iteri
+        (fun i _ ->
+          write_all fd (Bytes.sub hello i 1);
+          Thread.delay 0.002)
+        hello;
+      (match raw_recv fd with
+      | WC.Hello_ok { rid = 1; _ } -> ()
+      | _ -> Alcotest.fail "byte-at-a-time hello not answered");
+      (* Two requests in one write: both answered, in order. *)
+      write_all fd
+        (Bytes.cat
+           (frame (WC.Open_session { rid = 2; lease_ms = 5000; resume = None }))
+           (frame (WC.Renew { rid = 3 })));
+      (match raw_recv fd with
+      | WC.Session_opened { rid = 2; _ } -> ()
+      | _ -> Alcotest.fail "first of two coalesced requests not answered");
+      (match raw_recv fd with
+      | WC.Renewed { rid = 3; _ } -> ()
+      | _ -> Alcotest.fail "second of two coalesced requests not answered");
+      Unix.close fd)
+
+let test_bad_length_prefix () =
+  with_cluster ~base_port:9231 (fun _cluster _servers addrs ->
+      let ep = List.nth addrs 0 in
+      let good = SC.connect ~seed:30 ~addrs:[ ep ] () in
+      let grant what =
+        match
+          SC.with_lock ~timeout:20.0 ~lock:"apex" good (fun ~fencing:_ -> ())
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" what (SC.string_of_error e)
+      in
+      grant "before";
+      List.iter
+        (fun len ->
+          let fd = raw_connect ep in
+          let hdr = Bytes.create 4 in
+          Bytes.set_int32_be hdr 0 len;
+          write_all fd hdr;
+          (match raw_recv fd with
+          | WC.Session_lost { rid = 0; _ } -> ()
+          | _ -> Alcotest.failf "length %ld: expected Session_lost" len);
+          (match Netkit.Session_frame.recv fd with
+          | exception Netkit.Session_frame.Closed -> ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+          | _ -> Alcotest.failf "length %ld: connection not closed" len);
+          Unix.close fd;
+          grant (Printf.sprintf "after length %ld" len))
+        [ -1l; Int32.of_int (Netkit.Session_frame.max_frame + 1) ];
+      SC.close good)
+
+let test_shutdown_drains_late_grant () =
+  (* Node 0's server has a node request in flight when it shuts down;
+     the grant that lands afterwards must be given straight back, not
+     held by a node nobody serves. *)
+  with_cluster ~base_port:9241 (fun cluster servers addrs ->
+      let holder = SC.connect ~seed:31 ~addrs:[ List.nth addrs 1 ] () in
+      (match SC.acquire ~timeout:20.0 ~lock:"apex" holder with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "holder: %s" (SC.string_of_error e));
+      let fd = raw_connect (List.nth addrs 0) in
+      let _ = raw_open ~lease_ms:5000 fd in
+      raw_send fd
+        (WC.Acquire
+           { rid = 40; lock = "apex"; timeout_ms = 20_000; try_only = false;
+             shared = false });
+      Thread.delay 0.3;
+      S.shutdown servers.(0);
+      (match raw_recv fd with
+      | WC.Session_lost { rid = 0; _ } -> ()
+      | _ -> Alcotest.fail "queued client not told of the shutdown");
+      Unix.close fd;
+      ignore (SC.release ~lock:"apex" holder);
+      SC.close holder;
+      let other = SC.connect ~seed:32 ~addrs:[ List.nth addrs 2 ] () in
+      (match SC.acquire ~timeout:20.0 ~lock:"apex" other with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "lock stuck after the late grant: %s"
+            (SC.string_of_error e));
+      ignore (SC.release ~lock:"apex" other);
+      SC.close other;
+      Alcotest.(check bool) "node 0 does not hold the drained grant" false
+        (RC.Node.holding ~lock:"apex" (RC.node cluster 0)))
+
+let test_request_outliving_its_waiters () =
+  (* Node 0's request for [apex] is still ungranted when the only
+     waiter it was made for times out. A later waiter gets a second
+     node request, and the grant left over once it is served is given
+     straight back. *)
+  with_cluster ~base_port:9271 (fun cluster _servers addrs ->
+      let holder = SC.connect ~seed:34 ~addrs:[ List.nth addrs 1 ] () in
+      (match SC.acquire ~timeout:20.0 ~lock:"apex" holder with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "holder: %s" (SC.string_of_error e));
+      let node0 = RC.node cluster 0 in
+      let fd = raw_connect (List.nth addrs 0) in
+      let _ = raw_open ~lease_ms:5000 fd in
+      (match
+         raw_rpc fd
+           (WC.Acquire
+              { rid = 60; lock = "apex"; timeout_ms = 300; try_only = false;
+                shared = false })
+       with
+      | WC.Rejected { rid = 60; reason = WC.Lock_timeout; _ } -> ()
+      | _ -> Alcotest.fail "first waiter must time out");
+      raw_send fd
+        (WC.Acquire
+           { rid = 61; lock = "apex"; timeout_ms = 20_000; try_only = false;
+             shared = false });
+      Thread.delay 0.3;
+      Alcotest.(check int) "asked the node again" 1
+        (RC.Node.state ~lock:"apex" node0).Dmutex.Protocol.pending;
+      ignore (SC.release ~lock:"apex" holder);
+      SC.close holder;
+      (match raw_recv fd with
+      | WC.Granted { rid = 61; _ } -> ()
+      | _ -> Alcotest.fail "later waiter not granted");
+      (match raw_rpc fd (WC.Release { rid = 62; lock = "apex" }) with
+      | WC.Released { rid = 62; _ } -> ()
+      | _ -> Alcotest.fail "release");
+      Unix.close fd;
+      let other = SC.connect ~seed:35 ~addrs:[ List.nth addrs 2 ] () in
+      (match SC.acquire ~timeout:20.0 ~lock:"apex" other with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "lock stuck after the extra grant: %s"
+            (SC.string_of_error e));
+      Alcotest.(check bool) "node 0 gave the extra grant back" false
+        (RC.Node.holding ~lock:"apex" node0);
+      ignore (SC.release ~lock:"apex" other);
+      SC.close other)
+
+(* The first reply on a connection the server refused at accept. *)
+let expect_refused fd what =
+  match raw_recv fd with
+  | WC.Rejected { rid = 0; reason = WC.Session_limit; retry_after_ms } ->
+      Alcotest.(check bool) (what ^ ": retry-after hint") true
+        (retry_after_ms > 0);
+      (match Netkit.Session_frame.recv fd with
+      | exception Netkit.Session_frame.Closed -> ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      | _ -> Alcotest.failf "%s: connection not closed" what)
+  | _ -> Alcotest.failf "%s: expected Rejected Session_limit" what
+
+let hello_ok fd =
+  match raw_rpc fd (WC.Hello { rid = 7 }) with
+  | WC.Hello_ok { rid = 7; _ } -> true
+  | _ -> false
+  | exception (Netkit.Session_frame.Closed | Unix.Unix_error _) -> false
+
+let test_connection_cap () =
+  (* max_sessions 2 admits 2 + 16 connections; the next is refused
+     with an explicit retry-after and closed, the admitted ones keep
+     being served, and a freed slot is taken again. *)
+  with_cluster ~base_port:9281 ~max_sessions:2 (fun _cluster _servers addrs ->
+      let ep = List.nth addrs 0 in
+      let fds = List.init 18 (fun _ -> raw_connect ep) in
+      List.iteri
+        (fun i fd ->
+          Alcotest.(check bool) (Printf.sprintf "connection %d served" i) true
+            (hello_ok fd))
+        fds;
+      let extra = raw_connect ep in
+      expect_refused extra "connection 19";
+      Unix.close extra;
+      Alcotest.(check bool) "admitted connection still served" true
+        (hello_ok (List.hd fds));
+      Unix.close (List.hd fds);
+      let rec retry n =
+        let fd = raw_connect ep in
+        if hello_ok fd then fd
+        else begin
+          Unix.close fd;
+          if n = 0 then Alcotest.fail "freed slot never taken again";
+          Thread.delay 0.05;
+          retry (n - 1)
+        end
+      in
+      let again = retry 40 in
+      List.iter Unix.close (again :: List.tl fds))
+
+let test_descriptor_past_select_limit () =
+  (* The process holds descriptors up to FD_SETSIZE (1024), so the
+     server accepts a connection it could not select on. It refuses
+     that one instead of letting [select] fail, and serves the next
+     connection once descriptors are free again. *)
+  with_cluster ~base_port:9291 (fun _cluster _servers addrs ->
+      let ep = List.nth addrs 0 in
+      let kept = raw_connect ep in
+      Alcotest.(check bool) "served before" true (hello_ok kept);
+      let filler = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close !filler)
+        (fun () ->
+          let rec fill () =
+            let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            filler := fd :: !filler;
+            if (Obj.magic fd : int) < 1023 then fill ()
+          in
+          fill ();
+          let late = raw_connect ep in
+          expect_refused late "connection past the select limit";
+          Unix.close late);
+      filler := [];
+      Alcotest.(check bool) "earlier connection still served" true
+        (hello_ok kept);
+      let fresh = raw_connect ep in
+      Alcotest.(check bool) "served again" true (hello_ok fresh);
+      Unix.close fresh;
+      Unix.close kept)
+
+(* Threads in this process, from /proc/self/status; [None] where that
+   file or line is absent. *)
+let process_threads () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf_opt line "Threads: %d" (fun n -> n) with
+            | Some n -> Some n
+            | None -> scan ())
+      in
+      let n = scan () in
+      close_in ic;
+      n
+
+let test_one_thread_per_server () =
+  match process_threads () with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+      let locks = List.init 64 (Printf.sprintf "lock-%02d") in
+      let cluster = RC.launch ~base_port:9251 ~locks (fast_cfg 3) in
+      Fun.protect
+        ~finally:(fun () -> RC.shutdown cluster)
+        (fun () ->
+          (* The count can move for reasons outside this test —
+             threads of earlier tests still exiting, the cluster's
+             threads still starting — so read it once it holds still. *)
+          let rec threads ?(last = -1) ?(same = 0) ?(tries = 60) () =
+            let n = Option.get (process_threads ()) in
+            if (n = last && same >= 2) || tries = 0 then n
+            else begin
+              Thread.delay 0.05;
+              threads ~last:n
+                ~same:(if n = last then same + 1 else 0)
+                ~tries:(tries - 1) ()
+            end
+          in
+          let before = threads () in
+          let server =
+            S.create ~fencing:Dmutex_store.Protocol_view.fencing_of_state
+              ~node:(RC.node cluster 0)
+              ~addr:{ Netkit.Transport.host = "127.0.0.1"; port = 0 }
+              ()
+          in
+          Fun.protect
+            ~finally:(fun () -> S.shutdown server)
+            (fun () ->
+              let created = threads () in
+              Alcotest.(check bool)
+                (Printf.sprintf "create adds at most one thread (%d -> %d)"
+                   before created)
+                true
+                (created - before <= 1);
+              let ep =
+                { Netkit.Transport.host = "127.0.0.1"; port = S.port server }
+              in
+              let fds =
+                List.init 20 (fun _ ->
+                    let fd = raw_connect ep in
+                    ignore (raw_open ~lease_ms:5000 fd);
+                    fd)
+              in
+              (match
+                 raw_rpc (List.hd fds)
+                   (WC.Acquire
+                      { rid = 50; lock = "lock-07"; timeout_ms = 10_000;
+                        try_only = false; shared = false })
+               with
+              | WC.Granted _ -> ()
+              | _ -> Alcotest.fail "grant through the loop");
+              let opened = threads () in
+              List.iter Unix.close fds;
+              Alcotest.(check bool)
+                (Printf.sprintf "20 sessions add no thread (%d -> %d)" created
+                   opened)
+                true (opened <= created)))
+
+let test_heap_flat_over_grants () =
+  (* Live words on the OCaml heap after a full major must not grow
+     with the grant count. The reading jitters by a few dozen words
+     whatever the count (it read 64689, 64745, 64689 and 64741 after
+     300, 2000, 4000 and 8000 grants), so the bound is a quarter word
+     per grant: a leak of one word per grant shows as 1700. A short
+     collection window keeps the 2000 grants to a few seconds. *)
+  let cfg =
+    {
+      (fast_cfg 3) with
+      Dmutex.Types.Config.t_collect = 0.002;
+      t_forward = 0.002;
+    }
+  in
+  with_cluster ~cfg ~base_port:9261 (fun _cluster _servers addrs ->
+      let cl = SC.connect ~seed:33 ~addrs:[ List.nth addrs 0 ] () in
+      let grants n =
+        for _ = 1 to n do
+          match
+            SC.with_lock ~timeout:20.0 ~lock:"apex" cl (fun ~fencing:_ -> ())
+          with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "grant: %s" (SC.string_of_error e)
+        done
+      in
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      grants 300;
+      let at_300 = live () in
+      grants 1700;
+      let at_2000 = live () in
+      SC.close cl;
+      Alcotest.(check bool)
+        (Printf.sprintf "live words flat from 300 to 2000 grants (%d -> %d)"
+           at_300 at_2000)
+        true
+        (at_2000 - at_300 < 1700 / 4))
+
 let suite =
   ( "session",
     [
@@ -569,4 +918,20 @@ let suite =
         test_shared_batch_grants;
       Alcotest.test_case "queue expiry is Rejected, local deadline is Timeout"
         `Quick test_rejected_vs_timeout;
+      Alcotest.test_case "split and coalesced request frames" `Quick
+        test_split_and_coalesced_frames;
+      Alcotest.test_case "bad length prefix loses only its connection" `Quick
+        test_bad_length_prefix;
+      Alcotest.test_case "shutdown drains a late grant" `Quick
+        test_shutdown_drains_late_grant;
+      Alcotest.test_case "a request outliving its waiters is made again"
+        `Quick test_request_outliving_its_waiters;
+      Alcotest.test_case "connections over the cap are refused" `Quick
+        test_connection_cap;
+      Alcotest.test_case "a descriptor past the select limit is refused"
+        `Quick test_descriptor_past_select_limit;
+      Alcotest.test_case "one thread per server" `Quick
+        test_one_thread_per_server;
+      Alcotest.test_case "heap flat over grants" `Quick
+        test_heap_flat_over_grants;
     ] )
